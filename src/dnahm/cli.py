@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,6 +23,22 @@ _LAX_ZETAS = (0.2 + 0.1j, -1.1 + 0.6j)
 def _fail(code: int, **diagnostic) -> int:
     print(json.dumps(diagnostic), file=sys.stderr)
     return code
+
+
+class _UsageError(Exception):
+    """A usage error, reported as an exit-2 JSON diagnostic, not usage text."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load_dn_chain(path):
@@ -189,15 +204,7 @@ def cmd_spectral(args) -> int:
     except DnahmError as exc:
         return _fail(2, error=type(exc).__name__, message=str(exc))
 
-    def site_surface(site):
-        return spectral.char_surface(site.A, site.B, site.D)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            surfaces = list(pool.map(site_surface, chain.sites))
-    else:
-        surfaces = [site_surface(s) for s in chain.sites]
-
+    surfaces = [spectral.char_surface(s.A, s.B, s.D) for s in chain.sites]
     base = surfaces[0]
     series = [
         (site.r, float(np.abs(surf.c - base.c).max()))
@@ -240,17 +247,8 @@ def cmd_continuum(args) -> int:
     except ValueError as exc:
         return _fail(2, error="UsageError", message=f"bad --h list: {exc}")
     triple = fixtures.random_skew_triple(args.k, args.seed)
-    span = 1.0 + 3.0 * max(h_list)
-    steps = max(args.steps, int(np.ceil(10.0 * span / min(h_list))))
     try:
-        if args.jobs > 1:
-            trajectory = continuum.integrate_nahm(triple, 0.0, span, steps)
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(
-                    pool.map(lambda h: continuum.embedded_residuals(trajectory, h), h_list)
-                )
-        else:
-            rows = continuum.residual_scaling(triple, h_list, rk_steps=steps)
+        rows = continuum.residual_scaling(triple, h_list, rk_steps=args.steps)
     except (DnahmError, ValueError) as exc:
         return _fail(2, error=type(exc).__name__, message=str(exc))
 
@@ -290,7 +288,7 @@ def cmd_continuum(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dnahm",
         description="Discrete Nahm system: evolve chains, verify the equations, "
         "compute conserved spectral surfaces, and check the continuum limit.",
@@ -304,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="run the discrete-time evolution from a seed")
     p.add_argument("--in", dest="infile", default=None, help="chain/seed document (ba or dn form)")
-    p.add_argument("--random-k", type=int, default=None, help="generate a random seed of this charge")
+    p.add_argument("--random-k", type=_positive_int, default=None, help="generate a random seed of this charge")
     p.add_argument("--seed", type=int, default=0, help="rng seed for --random-k")
     p.add_argument("--spread", type=float, default=0.3, help="amplitude for --random-k")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--backward", action="store_true")
     p.add_argument("--tol", type=float, default=evolution.BREAKDOWN_TOL)
     p.add_argument("--out", required=True)
@@ -326,24 +324,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift", default=None, help="write per-site drift CSV here")
     p.add_argument("--samples", type=int, default=0, help="sample the curve at this many eta values")
     p.add_argument("--antidiagonal", type=int, default=0, help="anti-diagonal clearance sample count")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("continuum", help="first-order scaling table of the embedding residuals")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--h", required=True, help="comma-separated decreasing spacings")
     p.add_argument("--steps", type=int, default=2000, help="integrator steps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_continuum)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail(2, error="UsageError", message=str(exc))
     try:
         return args.func(args)
     except FormatError as exc:

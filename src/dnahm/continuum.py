@@ -213,20 +213,20 @@ def residual_scaling(
     initial: NahmTriple,
     h_list: list[float],
     window: float = 1.0,
-    rk_steps: int | None = None,
+    rk_steps: int = 2000,
 ) -> list[ScalingRow]:
     """Residual table over a decreasing list of spacings h.
 
     Integrates once on a grid fine enough that linear interpolation error is
-    subdominant (node spacing at most min(h)/10), then embeds and measures
-    at each h. On generic non-commuting data successive rows halve.
+    subdominant (node spacing at most min(h)/10, and at least rk_steps
+    steps), then embeds and measures at each h. On generic non-commuting
+    data successive rows halve.
     """
     if not h_list or any(h <= 0 for h in h_list):
         raise ValueError("h_list must be positive")
     if list(h_list) != sorted(h_list, reverse=True):
         raise ValueError("h_list must be decreasing")
     span = window + 3.0 * max(h_list)
-    if rk_steps is None:
-        rk_steps = max(2000, int(np.ceil(10.0 * span / min(h_list))))
-    trajectory = integrate_nahm(initial, 0.0, span, rk_steps)
+    steps = max(rk_steps, int(np.ceil(10.0 * span / min(h_list))))
+    trajectory = integrate_nahm(initial, 0.0, span, steps)
     return [embedded_residuals(trajectory, h, window) for h in h_list]

@@ -51,11 +51,11 @@ class DegenerateLeadingCoefficient(DnahmError):
     """Polynomial leading coefficient vanishes relative to the others."""
 
 
-class SingularGamma(DnahmError):
+class SingularGamma(Singular):
     """A gamma matrix of a Braam-Austin chain is not invertible."""
 
 
-class SingularGauge(DnahmError):
+class SingularGauge(Singular):
     """A gauge transformation matrix is not invertible."""
 
 
@@ -81,7 +81,7 @@ class EtaNearZero(DnahmError):
     """Transport requires eta bounded away from zero."""
 
 
-class SingularPminus(DnahmError):
+class SingularPminus(Singular):
     """The P- map on a link is not invertible."""
 
 

@@ -47,12 +47,6 @@ def _commutator_dag(beta: CMatrix) -> CMatrix:
     return dagger(beta) @ beta - beta @ dagger(beta)
 
 
-def _check_gamma(gamma: CMatrix) -> None:
-    s = np.linalg.svd(gamma, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= linalg.RANK_TOL * s[0]:
-        raise SingularGamma("gamma is singular; cannot step")
-
-
 def _sqrt_step(h: CMatrix, tol: float) -> tuple[StepStatus, float, Optional[CMatrix]]:
     hs = (h + dagger(h)) / 2.0
     lam_min = float(np.linalg.eigvalsh(hs)[0])
@@ -67,7 +61,7 @@ def _sqrt_step(h: CMatrix, tol: float) -> tuple[StepStatus, float, Optional[CMat
 
 def step_forward(gamma_prev: CMatrix, beta_cur: CMatrix, tol: float = BREAKDOWN_TOL) -> StepOutcome:
     """Advance one step: solve for the next gamma, then the next beta."""
-    _check_gamma(gamma_prev)
+    linalg.require_invertible(gamma_prev, error=SingularGamma)
     h = dagger(gamma_prev) @ gamma_prev + _commutator_dag(beta_cur)
     status, lam_min, gamma_next = _sqrt_step(h, tol)
     if status is StepStatus.BREAKDOWN:
@@ -82,7 +76,7 @@ def step_backward(gamma_next: CMatrix, beta_next: CMatrix, tol: float = BREAKDOW
     Returns produced = (gamma_prev, beta_cur). Composing with step_forward
     is the identity on self-adjoint-gauge chains.
     """
-    _check_gamma(gamma_next)
+    linalg.require_invertible(gamma_next, error=SingularGamma)
     beta_cur = gamma_next @ beta_next @ np.linalg.inv(gamma_next)
     h = gamma_next @ dagger(gamma_next) - _commutator_dag(beta_cur)
     status, lam_min, gamma_prev = _sqrt_step(h, tol)
@@ -110,7 +104,7 @@ def evolve(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     gamma0, beta0 = cmatrix(seed[0]), cmatrix(seed[1])
-    _check_gamma(gamma0)
+    linalg.require_invertible(gamma0, error=SingularGamma)
     k = gamma0.shape[0]
 
     if not backward:

@@ -21,7 +21,7 @@ from . import linalg
 from .errors import ChainTooShort, EtaNearZero, PointNotOnCurve, SingularPminus
 from .linalg import max_abs
 from .model import DNChain
-from .spectral import CurvePoint, char_surface
+from .spectral import CurvePoint, pencil, pencil_at_curve_point
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,6 @@ def m_factorization_residual(
     """
     if not (chain.r0 < r < chain.r1):
         raise ChainTooShort(f"site {r} is not interior to [{chain.r0}, {chain.r1}]")
-    k = chain.k
-    eye = np.eye(k, dtype=np.complex128)
     f = basis_sections(chain)
     site = chain.site(r)
 
@@ -129,8 +127,7 @@ def m_factorization_residual(
         product = ward_plus(chain, eta, wminus_f).at(r)
     rhs = term_pm_wp + term_pp_wm - product
 
-    m = eta * zeta * site.A + eta * site.B + zeta * eye + site.D
-    lhs = m @ f.at(r)
+    lhs = pencil(site.A, site.B, site.D)(eta, zeta) @ f.at(r)
     return max_abs(lhs - rhs)
 
 
@@ -149,9 +146,7 @@ def transport_covector(
     if abs(point.eta) <= 1e-8:
         raise EtaNearZero("transport needs |eta| > 1e-8")
     link = chain.link(r)
-    s = np.linalg.svd(link.Pminus, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= tol * s[0]:
-        raise SingularPminus("P- on the link is singular")
+    linalg.require_invertible(link.Pminus, tol, SingularPminus)
     site_right = chain.site(r + 1)
     eye = np.eye(chain.k, dtype=np.complex128)
     return (
@@ -178,38 +173,17 @@ def dual_transport_check(
     associated line bundle.
     """
     site_right = chain.site(r + 1)
-    surface = char_surface(site_right.A, site_right.B, site_right.D)
-    value = abs(surface.evaluate(point.eta, point.zeta))
-    if value > on_curve_tol * max(1.0, surface.magnitude(point.eta, point.zeta)):
-        raise PointNotOnCurve(f"|F| = {value:.3e} at ({point.eta}, {point.zeta})")
-    eye = np.eye(chain.k, dtype=np.complex128)
-    m_right = (
-        point.eta * point.zeta * site_right.A
-        + point.eta * site_right.B
-        + point.zeta * eye
-        + site_right.D
+    m_right, m_scale = pencil_at_curve_point(
+        site_right.A, site_right.B, site_right.D, point, on_curve_tol
     )
-    # null covector from the transpose's nullspace; the singular-value floor
-    # is measured against the natural magnitude of M's terms so that the
-    # check stays meaningful when M itself is nearly zero (k = 1)
-    m_scale = (
-        abs(point.eta * point.zeta) * max_abs(site_right.A)
-        + abs(point.eta) * max_abs(site_right.B)
-        + abs(point.zeta)
-        + max_abs(site_right.D)
-    )
+    # null covector from the transpose's nullspace
     _, s, vh = np.linalg.svd(m_right.T)
     if s[-1] > max(tol, on_curve_tol) * max(1.0, m_scale):
         raise PointNotOnCurve("M at the right site has no left null covector")
     g_right = vh[-1].conj()  # direction of the smallest singular value
     g_left = transport_covector(chain, r, point, g_right, tol)
     site_left = chain.site(r)
-    m_left = (
-        point.eta * point.zeta * site_left.A
-        + point.eta * site_left.B
-        + point.zeta * eye
-        + site_left.D
-    )
+    m_left = pencil(site_left.A, site_left.B, site_left.D)(point.eta, point.zeta)
     norm = float(np.linalg.norm(g_left))
     if norm == 0.0:
         raise PointNotOnCurve("transported covector vanished")

@@ -119,18 +119,27 @@ def positive_sqrt(h: CMatrix, tol: float = SYMMETRY_TOL) -> CMatrix:
     return root
 
 
+def require_invertible(
+    m: CMatrix, tol: float = RANK_TOL, error: type[Singular] = Singular
+) -> None:
+    """The invertibility rule: raise ``error`` (Singular or the subclass naming
+    the matrix's role, with the condition estimate) when the smallest singular
+    value is at or below tol times the largest."""
+    _require_square(m)
+    s = np.linalg.svd(m, compute_uv=False)
+    smax = s[0] if s.size else 0.0
+    smin = s[-1] if s.size else 0.0
+    if smax == 0.0 or smin <= tol * smax:
+        raise error(condition=float(smax / smin) if smin > 0 else np.inf)
+
+
 def inverse(m: CMatrix, tol: float = RANK_TOL) -> CMatrix:
     """Inverse of a square matrix, refusing when the condition is hopeless.
 
     Raises Singular (with the condition estimate) when the smallest singular
     value is below tol times the largest.
     """
-    _require_square(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    smin = s[-1] if s.size else 0.0
-    if smax == 0.0 or smin <= tol * smax:
-        raise Singular(condition=float(smax / smin) if smin > 0 else np.inf)
+    require_invertible(m, tol)
     return np.linalg.inv(m)
 
 

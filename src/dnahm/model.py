@@ -152,12 +152,6 @@ class BAResiduals:
         return max((*self.evolution, *self.metric), default=0.0)
 
 
-def _check_invertible(m: CMatrix, tol: float, exc: type) -> None:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= tol * s[0]:
-        raise exc(f"matrix is singular to tolerance {tol:g}")
-
-
 def from_braam_austin(ba: BAChain, tol: float = linalg.RANK_TOL) -> DNChain:
     """Convert a Braam-Austin chain to the complexified (A, B, D, P+-) form.
 
@@ -169,7 +163,7 @@ def from_braam_austin(ba: BAChain, tol: float = linalg.RANK_TOL) -> DNChain:
     if not ba.gammas:
         raise ChainTooShort("B cannot be reconstructed without at least one link")
     for g in ba.gammas:
-        _check_invertible(g, tol, SingularGamma)
+        linalg.require_invertible(g, tol, SingularGamma)
     n = len(ba.betas)
     sites = []
     for j, beta in enumerate(ba.betas):
@@ -278,7 +272,7 @@ def apply_gauge(
     if len(gauges) != len(chain.sites):
         raise DimensionMismatch("need one gauge matrix per site")
     for g in gauges:
-        _check_invertible(np.asarray(g, dtype=complex), tol, SingularGauge)
+        linalg.require_invertible(np.asarray(g, dtype=complex), tol, SingularGauge)
     inv = [np.linalg.inv(g) for g in gauges]
     sites = tuple(
         DNSite(

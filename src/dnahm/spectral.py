@@ -98,16 +98,44 @@ def bivariate_coeffs(f: Callable[[complex, complex], complex], deg1: int, deg2: 
     return np.fft.fft2(grid) / grid.size
 
 
+def pencil(A: CMatrix, B: CMatrix, D: CMatrix) -> Callable[[complex, complex], CMatrix]:
+    """M(eta, zeta) = eta zeta A + eta B + zeta I + D, whose determinant is the surface."""
+    eye = np.eye(A.shape[0], dtype=np.complex128)
+
+    def m(eta: complex, zeta: complex) -> CMatrix:
+        return eta * zeta * A + eta * B + zeta * eye + D
+
+    return m
+
+
+def pencil_at_curve_point(
+    A: CMatrix, B: CMatrix, D: CMatrix, point: CurvePoint, on_curve_tol: float
+) -> tuple[CMatrix, float]:
+    """M at a curve point and the natural magnitude of its terms, |eta zeta| ||A||
+    + |eta| ||B|| + |zeta| + ||D||; raises PointNotOnCurve if |F| is too large.
+
+    Singular values measured against that scale, not only sigma_max, keep a
+    rank decision meaningful when M itself is nearly zero (k = 1).
+    """
+    eta, zeta = point.eta, point.zeta
+    surface = char_surface(A, B, D)
+    residual = abs(surface.evaluate(eta, zeta))
+    if residual > on_curve_tol * max(1.0, surface.magnitude(eta, zeta)):
+        raise PointNotOnCurve(f"|F| = {residual:.3e} at ({eta}, {zeta})")
+    scale = abs(eta * zeta) * max_abs(A) + abs(eta) * max_abs(B) + abs(zeta) + max_abs(D)
+    return pencil(A, B, D)(eta, zeta), scale
+
+
 def char_surface(A: CMatrix, B: CMatrix, D: CMatrix) -> SpectralSurface:
     """Spectral surface of a site triple."""
     k = A.shape[0]
     for m in (A, B, D):
         if m.shape != (k, k):
             raise DimensionMismatch("A, B, D must be square matrices of equal size")
-    eye = np.eye(k, dtype=np.complex128)
+    m_at = pencil(A, B, D)
 
     def f(eta: complex, zeta: complex) -> complex:
-        return complex(np.linalg.det(eta * zeta * A + eta * B + zeta * eye + D))
+        return complex(np.linalg.det(m_at(eta, zeta)))
 
     c = bivariate_coeffs(f, k, k)
     if abs(c[0, k] - 1.0) > 1e-12 * (1.0 + max_abs(c)):
@@ -223,21 +251,7 @@ def cokernel_nullity(
     on_curve_tol: float = 1e-6,
 ) -> int:
     """Nullity of M(eta, zeta) at a curve point; 1 at smooth points."""
-    surface = char_surface(A, B, D)
-    residual = abs(surface.evaluate(point.eta, point.zeta))
-    if residual > on_curve_tol * max(1.0, surface.magnitude(point.eta, point.zeta)):
-        raise PointNotOnCurve(f"|F| = {residual:.3e} at ({point.eta}, {point.zeta})")
-    k = A.shape[0]
-    m = point.eta * point.zeta * A + point.eta * B + point.zeta * np.eye(k) + D
-    # singular values measured against the natural magnitude of M's terms,
-    # not only sigma_max, so the count stays meaningful when M itself is
-    # nearly zero (k = 1 at a curve point)
-    m_scale = (
-        abs(point.eta * point.zeta) * max_abs(A)
-        + abs(point.eta) * max_abs(B)
-        + abs(point.zeta)
-        + max_abs(D)
-    )
+    m, m_scale = pencil_at_curve_point(A, B, D, point, on_curve_tol)
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s <= tol * max(float(s[0]), m_scale)))
 

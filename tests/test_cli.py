@@ -131,6 +131,20 @@ class TestEvolveCommand:
         assert code == 2
         assert "UsageError" in capsys.readouterr().err
 
+    def test_singular_seed_gamma_exit_2(self, tmp_path, capsys):
+        seed = tmp_path / "seed.json"
+        ba = dnahm.BAChain(
+            k=2,
+            betas=(dnahm.cmatrix(np.zeros((2, 2))),) * 2,
+            gammas=(dnahm.cmatrix([[1.0, 2.0], [2.0, 4.0]]),),
+        )
+        dio.save_json(seed, dio.chain_to_document(ba))
+        out = tmp_path / "chain.json"
+        code = main(["evolve", "--in", str(seed), "--steps", "5", "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "SingularGamma"
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_trig_chain_passes(self, tmp_path):
@@ -214,14 +228,6 @@ class TestSpectralCommand:
         doc = json.loads(out.read_text())
         assert doc["drift"]["max"] < 1e-9
 
-    def test_jobs_flag_same_output(self, tmp_path):
-        chain_path = tmp_path / "trig.json"
-        main(["example", "--p", "2", "--out", str(chain_path)])
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["spectral", "--in", str(chain_path), "--out", str(a)]) == 0
-        assert main(["spectral", "--in", str(chain_path), "--out", str(b), "--jobs", "4"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestContinuumCommand:
     def test_scaling_table(self, tmp_path):
@@ -253,9 +259,37 @@ class TestContinuumCommand:
         lines = out.read_text().strip().splitlines()
         assert float(lines[1].split(",")[1]) < 1e-14
 
-    def test_jobs_flag_same_table(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["continuum", "--k", "2", "--h", "0.04,0.02", "--steps", "1200", "--seed", "1"]
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--out", str(b), "--jobs", "3"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nope"],
+            ["spectral", "--in", "{tmp}/c.json", "--out", "{tmp}/s.json", "--jobs", "2"],
+            ["continuum", "--h", "0.04", "--out", "{tmp}/t.csv", "--jobs", "2"],
+            ["evolve", "--random-k", "0", "--steps", "3", "--out", "{tmp}/x.json"],
+            ["evolve", "--random-k", "2", "--steps", "0", "--out", "{tmp}/x.json"],
+            ["evolve", "--random-k", "2", "--out", "{tmp}/x.json"],
+            ["continuum", "--k", "0", "--h", "0.04", "--out", "{tmp}/t.csv"],
+            ["verify", "--in", "{tmp}/c.json", "--report", "{tmp}/r.json", "--tol", "abc"],
+        ],
+        ids=["no-command", "unknown-command", "spectral-jobs", "continuum-jobs",
+             "evolve-k0", "evolve-steps0", "evolve-no-steps", "continuum-k0", "bad-float"],
+    )
+    def test_exit_2_with_one_json_line(self, argv, tmp_path, capsys):
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "UsageError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
+    def test_help_still_prints_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out

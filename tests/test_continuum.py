@@ -142,6 +142,13 @@ class TestResidualScaling:
         for row in rows:
             assert row.r_evolution < 1e-12 and row.r_metric < 1e-11
 
+    def test_explicit_rk_steps_keep_the_grid_floor(self):
+        # node spacing stays at most min(h)/10 whatever rk_steps asks for
+        triple = dnahm.random_skew_triple(2, seed=3)
+        floor = int(np.ceil(10.0 * (1.0 + 3.0 * 0.04) / 0.02))
+        coarse = dnahm.residual_scaling(triple, [0.04, 0.02], rk_steps=200)
+        assert coarse == dnahm.residual_scaling(triple, [0.04, 0.02], rk_steps=floor)
+
     def test_h_list_validation(self):
         with pytest.raises(ValueError):
             dnahm.residual_scaling(dnahm.euler_top_triple(), [0.01, 0.02])

@@ -101,6 +101,22 @@ class TestEvolve:
         for a, b in zip(regen.gammas, ba.gammas):
             assert dnahm.max_abs(a - b) < 1e-12
 
+    @pytest.mark.parametrize("p", [50, 100, 200])
+    def test_long_trig_chain_reproduced_to_its_boundary(self, p):
+        # the closed-form chain has 2p - 1 links and is rank-1 at its ends, so
+        # evolving from its first link rebuilds every link and then breaks
+        # down on the last one; the gamma error peaks next to that boundary
+        # (3.1e-10 at p = 200) and 1e-8 is the benchmark's tolerance
+        ba = dnahm.to_braam_austin(helpers.gauged_trig(p))
+        seed_pair = (ba.gammas[0], ba.betas[0])
+        chain, bk = dnahm.evolve(seed_pair, 2 * p)
+        assert bk == 2 * p - 2
+        assert len(chain.gammas) == 2 * p - 1
+        assert max(dnahm.max_abs(a - b) for a, b in zip(chain.gammas, ba.gammas)) <= 1e-8
+        rerun, _ = dnahm.evolve(seed_pair, 2 * p)
+        assert all(np.array_equal(a, b) for a, b in zip(rerun.gammas, chain.gammas))
+        assert all(np.array_equal(a, b) for a, b in zip(rerun.betas, chain.betas))
+
     def test_deterministic_reruns(self):
         seed_pair = dnahm.random_reality_seed(3, seed=8, spread=0.03)
         c1, _ = dnahm.evolve(seed_pair, 15)

@@ -11,8 +11,12 @@ from dnahm.errors import (
     NotHermitian,
     NotPositiveDefinite,
     Singular,
+    SingularGamma,
+    SingularGauge,
+    SingularPminus,
 )
 
+import helpers
 import oracles
 
 
@@ -111,6 +115,47 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(Singular):
             dnahm.inverse(dnahm.cmatrix([[1.0, 1.0], [1.0, 1.0]]))
+
+
+RANK_ONE = dnahm.cmatrix([[1.0, 2.0], [2.0, 4.0]])
+SMALL = dnahm.cmatrix([[0.1j, 0.0], [0.0, 0.2]])
+
+
+def _gauge_first_site():
+    chain, _ = dnahm.trig_solution(1)
+    dnahm.apply_gauge(chain, [RANK_ONE, np.eye(2)])
+
+
+def _transport_across_singular_link():
+    chain, _ = dnahm.trig_solution(1)
+    chain = helpers.replace_link(chain, 0, Pminus=RANK_ONE)
+    point = dnahm.CurvePoint(eta=1.0 + 0.5j, zeta=0.3)
+    dnahm.transport_covector(chain, chain.r0, point, np.ones(2, dtype=complex))
+
+
+class TestInvertibilityRule:
+    """Every caller of linalg.require_invertible refuses a rank-deficient matrix."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: dnahm.inverse(RANK_ONE), Singular),
+            (_gauge_first_site, SingularGauge),
+            (_transport_across_singular_link, SingularPminus),
+            (lambda: dnahm.step_forward(RANK_ONE, SMALL), SingularGamma),
+            (lambda: dnahm.step_backward(RANK_ONE, SMALL), SingularGamma),
+            (lambda: dnahm.evolve((RANK_ONE, SMALL), 3), SingularGamma),
+            (lambda: dnahm.from_braam_austin(dnahm.BAChain(2, (SMALL, SMALL), (RANK_ONE,))),
+             SingularGamma),
+        ],
+        ids=["inverse", "apply_gauge", "transport_covector", "step_forward",
+             "step_backward", "evolve", "from_braam_austin"],
+    )
+    def test_rank_deficient_matrix_refused(self, call, error):
+        with pytest.raises(Singular) as info:
+            call()
+        assert info.type is error
+        assert info.value.condition > 1.0 / dnahm.linalg.RANK_TOL
 
 
 class TestNullity:
