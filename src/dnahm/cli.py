@@ -34,11 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _load_dn_chain(path):
@@ -322,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--drift", default=None, help="write per-site drift CSV here")
-    p.add_argument("--samples", type=int, default=0, help="sample the curve at this many eta values")
-    p.add_argument("--antidiagonal", type=int, default=0, help="anti-diagonal clearance sample count")
+    p.add_argument("--samples", type=_nonnegative_int, default=0, help="sample the curve at this many eta values (0: skip)")
+    p.add_argument("--antidiagonal", type=_nonnegative_int, default=0, help="anti-diagonal clearance sample count (0: skip)")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("continuum", help="first-order scaling table of the embedding residuals")
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--h", required=True, help="comma-separated decreasing spacings")
-    p.add_argument("--steps", type=int, default=2000, help="integrator steps")
+    p.add_argument("--steps", type=_positive_int, default=2000, help="integrator steps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_continuum)

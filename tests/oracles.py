@@ -2,10 +2,18 @@
 
 These deliberately avoid the library's code paths: bivariate determinants
 by recursive cofactor expansion over explicit coefficient grids, matrix
-square roots by eigendecomposition, derivatives by finite differences.
+square roots by eigendecomposition, derivatives by finite differences. The
+Lax checks on the full n*k delta basis of sections share the library's Ward
+operators and stand in for its 3-colour probe block only.
 """
 
 import numpy as np
+
+from dnahm.errors import ChainTooShort
+from dnahm.lax import WardSection, ward_minus, ward_plus
+from dnahm.linalg import max_abs
+from dnahm.model import DNChain
+from dnahm.spectral import pencil
 
 
 def poly_mul2(a, b):
@@ -79,3 +87,65 @@ def random_unitary(rng, k):
 def random_hpd(rng, k, shift=0.1):
     x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     return x @ x.conj().T + shift * np.eye(k)
+
+
+# Delta-basis Lax checks: O(n^2 k^2) memory and O(n^3 k^3) time for all
+# interior sites; the library probes with a 3-colour block instead.
+
+
+def basis_sections(chain: DNChain) -> WardSection:
+    """The full delta basis of sections as one block: unit vector e_j at site s."""
+    n, k = len(chain.sites), chain.k
+    values = np.zeros((n, k, n * k), dtype=np.complex128)
+    for s in range(n):
+        values[s, :, s * k : (s + 1) * k] = np.eye(k)
+    return WardSection(start=chain.r0, values=values)
+
+
+def commutator_residual(chain: DNChain, eta: complex, zeta: complex) -> float:
+    """Max of ||[W+, W-] f|| over the delta basis and interior sites.
+
+    Vanishes exactly when the discrete Nahm equations hold on interior
+    links. Expanding the operators shows the result is independent of zeta
+    (the zeta terms cancel identically; the survivors are eta-weighted
+    combinations of the equation residuals).
+    """
+    if len(chain.sites) < 3:
+        raise ChainTooShort("commutator needs at least three sites")
+    f = basis_sections(chain)
+    pm = ward_plus(chain, eta, ward_minus(chain, eta, zeta, f))
+    mp = ward_minus(chain, eta, zeta, ward_plus(chain, eta, f))
+    assert pm.start == mp.start and pm.values.shape == mp.values.shape
+    return max_abs(pm.values - mp.values)
+
+
+def m_factorization_residual(
+    chain: DNChain,
+    r: int,
+    eta: complex,
+    zeta: complex,
+    reverse_order: bool = False,
+) -> float:
+    """Deviation of M from eta P- W+ + P+ W- - W+ W- at interior site r.
+
+    Composite operators read through the links: (P- g)_r = P-_{r+1} g_{r+1}
+    and (P+ g)_r = P+_{r-1} g_{r-1}. With reverse_order the commuted product
+    W- W+ replaces W+ W-; on solutions both orderings agree.
+    """
+    if not (chain.r0 < r < chain.r1):
+        raise ChainTooShort(f"site {r} is not interior to [{chain.r0}, {chain.r1}]")
+    f = basis_sections(chain)
+    site = chain.site(r)
+
+    wplus_f = ward_plus(chain, eta, f)
+    wminus_f = ward_minus(chain, eta, zeta, f)
+    term_pm_wp = eta * chain.link(r).Pminus @ wplus_f.at(r + 1)
+    term_pp_wm = chain.link(r - 1).Pplus @ wminus_f.at(r - 1)
+    if reverse_order:
+        product = ward_minus(chain, eta, zeta, wplus_f).at(r)
+    else:
+        product = ward_plus(chain, eta, wminus_f).at(r)
+    rhs = term_pm_wp + term_pp_wm - product
+
+    lhs = pencil(site.A, site.B, site.D)(eta, zeta) @ f.at(r)
+    return max_abs(lhs - rhs)

@@ -224,9 +224,12 @@ class TestSpectralCommand:
         main(["evolve", "--random-k", "2", "--seed", "3", "--spread", "0.04",
               "--steps", "12", "--out", str(chain_path)])
         out = tmp_path / "surface.json"
-        assert main(["spectral", "--in", str(chain_path), "--out", str(out)]) == 0
+        assert main(["spectral", "--in", str(chain_path), "--out", str(out),
+                     "--samples", "0", "--antidiagonal", "0"]) == 0
         doc = json.loads(out.read_text())
         assert doc["drift"]["max"] < 1e-9
+        # a count of 0 skips the curve samples and the anti-diagonal scan
+        assert "samples" not in doc and "antidiagonal_clearance" not in doc
 
 
 class TestContinuumCommand:
@@ -273,9 +276,13 @@ class TestUsageErrors:
             ["evolve", "--random-k", "2", "--out", "{tmp}/x.json"],
             ["continuum", "--k", "0", "--h", "0.04", "--out", "{tmp}/t.csv"],
             ["verify", "--in", "{tmp}/c.json", "--report", "{tmp}/r.json", "--tol", "abc"],
+            ["spectral", "--in", "{tmp}/c.json", "--out", "{tmp}/s.json", "--samples", "-2"],
+            ["spectral", "--in", "{tmp}/c.json", "--out", "{tmp}/s.json", "--antidiagonal", "-3"],
+            ["continuum", "--h", "0.04", "--out", "{tmp}/t.csv", "--steps", "0"],
         ],
         ids=["no-command", "unknown-command", "spectral-jobs", "continuum-jobs",
-             "evolve-k0", "evolve-steps0", "evolve-no-steps", "continuum-k0", "bad-float"],
+             "evolve-k0", "evolve-steps0", "evolve-no-steps", "continuum-k0", "bad-float",
+             "spectral-samples-neg", "spectral-antidiagonal-neg", "continuum-steps0"],
     )
     def test_exit_2_with_one_json_line(self, argv, tmp_path, capsys):
         code = main([a.format(tmp=tmp_path) for a in argv])

@@ -114,6 +114,19 @@ class TestEmbed:
         assert 0.4 <= rows[1].r_evolution / rows[0].r_evolution <= 0.6
         assert 0.4 <= rows[1].r_metric / rows[0].r_metric <= 0.6
 
+    @pytest.mark.parametrize("k, seed", [(2, 805021), (2, 2020), (3, 41)])
+    def test_residuals_independent_of_grid_alignment(self, k, seed):
+        # 2240 steps over the span 1.12 put every embedding node on the RK4
+        # grid; the default 2000 put them between grid nodes, where the
+        # interpolation error (O(step^4) for cubic Hermite) must stay far
+        # below residuals of order 1e-8. Linear interpolation missed by up to 78%.
+        triple = dnahm.random_skew_triple(k, seed)
+        off_grid = dnahm.residual_scaling(triple, [0.04, 0.02, 0.01])
+        on_grid = dnahm.residual_scaling(triple, [0.04, 0.02, 0.01], rk_steps=2240)
+        for a, b in zip(off_grid, on_grid):
+            assert a.r_evolution == pytest.approx(b.r_evolution, rel=1e-5)
+            assert a.r_metric == pytest.approx(b.r_metric, rel=1e-5)
+
     def test_euler_top_family_asymmetry(self):
         # For the literal su(2) Euler top sigma^2 is a scalar matrix, so the
         # first-order coefficient [sigma^2, tau] of the evolution-equation

@@ -7,6 +7,7 @@ import dnahm
 from dnahm.errors import ChainTooShort, EtaNearZero, PointNotOnCurve
 
 import helpers
+import oracles
 
 
 def ones_scalar_chain(n=5):
@@ -20,6 +21,26 @@ def ones_scalar_chain(n=5):
         for r in range(n - 1)
     )
     return dnahm.DNChain(k=1, sites=sites, links=links)
+
+
+def random_dn_chain(rng, k, n, origin=0):
+    """Chain of n sites from ``origin`` with random entries (not a solution)."""
+    sites = tuple(
+        dnahm.DNSite(
+            r=origin + i,
+            A=helpers.random_cmatrix(rng, k),
+            B=helpers.random_cmatrix(rng, k),
+            D=helpers.random_cmatrix(rng, k),
+        )
+        for i in range(n)
+    )
+    links = tuple(
+        dnahm.DNLink(
+            r=origin + i, Pplus=helpers.random_cmatrix(rng, k), Pminus=helpers.random_cmatrix(rng, k)
+        )
+        for i in range(n - 1)
+    )
+    return dnahm.DNChain(k=k, sites=sites, links=links)
 
 
 def section_from(chain, vectors):
@@ -122,21 +143,7 @@ class TestCommutator:
         assert dnahm.commutator_residual(bad, eta, 0.5) >= 1e-4 * abs(eta)
 
     def test_matches_coefficient_oracle_on_non_solution(self):
-        rng = np.random.default_rng(33)
-        sites = tuple(
-            dnahm.DNSite(
-                r=r,
-                A=helpers.random_cmatrix(rng, 2),
-                B=helpers.random_cmatrix(rng, 2),
-                D=helpers.random_cmatrix(rng, 2),
-            )
-            for r in range(4)
-        )
-        links = tuple(
-            dnahm.DNLink(r=r, Pplus=helpers.random_cmatrix(rng, 2), Pminus=helpers.random_cmatrix(rng, 2))
-            for r in range(3)
-        )
-        chain = dnahm.DNChain(k=2, sites=sites, links=links)
+        chain = random_dn_chain(np.random.default_rng(33), 2, 4)
         for eta in (0.5, 1.0 + 1.0j, 2.0 - 0.3j):
             ours = dnahm.commutator_residual(chain, eta, 0.8 - 0.1j)
             assert ours == pytest.approx(coefficient_oracle(chain, eta), rel=1e-12)
@@ -183,6 +190,89 @@ class TestMFactorization:
         chain, _ = dnahm.trig_solution(2)
         with pytest.raises(ChainTooShort):
             dnahm.m_factorization_residual(chain, 1, 1.0, 1.0)
+
+
+# (eta, zeta) pairs for the probe-block tests: the CLI's two, and one with |eta| > 1
+PROBE_POINTS = ((0.7 + 0.3j, 0.2 + 0.1j), (1.3 - 0.4j, -1.1 + 0.6j), (-0.5 + 2.0j, 0.9))
+
+
+def within_oracle_tol(ours, oracle):
+    # rounding of k-term sums of O(1) products; only the BLAS column blocking differs
+    return abs(ours - oracle) <= 1e-13 * (1.0 + abs(oracle))
+
+
+class TestProbeBlock:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+    def test_layout(self, m):
+        chain = random_dn_chain(np.random.default_rng(35), 2, 8, origin=-3)
+        f = dnahm.basis_sections(chain, range(-2, -2 + m))
+        expected = np.zeros((m, 2, min(m, 3) * 2), dtype=complex)
+        for i in range(m):
+            for j in range(2):
+                expected[i, j, (i % 3) * 2 + j] = 1.0
+        assert f.start == -2
+        assert np.array_equal(f.values, expected)
+
+    def test_default_is_whole_chain(self):
+        chain = random_dn_chain(np.random.default_rng(36), 3, 5, origin=5)
+        assert np.array_equal(
+            dnahm.basis_sections(chain).values, dnahm.basis_sections(chain, range(5, 10)).values
+        )
+        assert dnahm.basis_sections(chain).start == 5
+
+    @pytest.mark.parametrize("sites", [range(-3, 2, 2), range(-4, 0), range(2, 5), range(0, 0)])
+    def test_bad_site_range_rejected(self, sites):
+        chain = random_dn_chain(np.random.default_rng(37), 2, 7, origin=-3)  # sites -3..3
+        with pytest.raises(ValueError):
+            dnahm.basis_sections(chain, sites)
+
+    @pytest.mark.parametrize("origin", [0, -3, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 10])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_delta_basis_oracle(self, k, n, origin):
+        chain = random_dn_chain(np.random.default_rng([k, n, origin + 3]), k, n, origin)
+        for eta, zeta in PROBE_POINTS:
+            ours = dnahm.commutator_residual(chain, eta, zeta)
+            oracle = oracles.commutator_residual(chain, eta, zeta)
+            assert within_oracle_tol(ours, oracle), (eta, zeta, ours, oracle)
+            for r in range(chain.r0 + 1, chain.r1):
+                for reverse in (False, True):
+                    ours = dnahm.m_factorization_residual(chain, r, eta, zeta, reverse)
+                    oracle = oracles.m_factorization_residual(chain, r, eta, zeta, reverse)
+                    assert within_oracle_tol(ours, oracle), (eta, zeta, r, reverse, ours, oracle)
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 4), (3, 5), (2, 7), (4, 10)])
+    def test_probe_result_is_the_folded_delta_result(self, k, n):
+        """Exact: the products of W+ and W- are block tridiagonal, so no row of
+        the delta-basis result has nonzeros from two sites of one colour, and
+        the probe result has no nonzero entry that the folded delta result lacks."""
+        chain = random_dn_chain(np.random.default_rng([k, n]), k, n, origin=-3)
+        eta, zeta = PROBE_POINTS[2]
+        probe, delta = dnahm.basis_sections(chain), oracles.basis_sections(chain)
+        colour = np.arange(n) % 3
+        products = (
+            lambda f: dnahm.ward_plus(chain, eta, dnahm.ward_minus(chain, eta, zeta, f)),
+            lambda f: dnahm.ward_minus(chain, eta, zeta, dnahm.ward_plus(chain, eta, f)),
+        )
+        for product in products:
+            p, d = product(probe), product(delta)
+            assert p.start == d.start
+            rows = d.values.shape[0]
+            d_sites = d.values.reshape(rows, k, n, k)
+            support = np.any(d_sites != 0, axis=(1, 3))  # (result row, source site)
+            row_sites = np.arange(rows)[:, None] + (d.start - chain.r0)
+            assert not np.any(support & (np.abs(row_sites - np.arange(n)) > 1))
+            folded = np.stack(
+                [d_sites[:, :, colour == c, :].sum(axis=2) for c in range(min(n, 3))], axis=2
+            ).reshape(p.values.shape)
+            assert not np.any((p.values != 0) & (folded == 0))
+            assert dnahm.max_abs(p.values - folded) <= 1e-13 * (1.0 + dnahm.max_abs(folded))
+
+    def test_long_chain(self):
+        chain, _ = dnahm.trig_solution(1000)
+        assert len(chain.sites) == 2000
+        assert dnahm.basis_sections(chain).values.nbytes == 2000 * 2 * 6 * 16
+        assert dnahm.commutator_residual(chain, *PROBE_POINTS[0]) < 1e-11
 
 
 class TestDualTransport:
