@@ -252,6 +252,8 @@ def cmd_continuum(args) -> int:
         h_list = sorted({float(tok) for tok in args.h.split(",") if tok}, reverse=True)
         if not h_list:
             raise ValueError("empty h list")
+        if not all(0 < h < np.inf for h in h_list):
+            raise ValueError("spacings must be finite and positive")
     except ValueError as exc:
         return _fail(2, error="UsageError", message=f"bad --h list: {exc}")
     triple = fixtures.random_skew_triple(args.k, args.seed)

@@ -58,38 +58,69 @@ class NahmState:
 
 @dataclass(frozen=True)
 class NahmTrajectory:
-    """Uniform-grid RK4 output over [z0, z1] with cubic Hermite interpolation."""
+    """Uniform-grid RK4 output over [z0, z1] with cubic Hermite interpolation.
+
+    ``nodes[i]`` is the triple (T1, T2, T3) at z0 + i * step, stacked into
+    one read-only array of shape (n_steps + 1, 3, k, k). The nodes are taken
+    to be skew-hermitian (``integrate_nahm`` makes them exactly so); the
+    constructor checks the range, the shape and that every entry is finite.
+    """
 
     z0: float
     z1: float
-    states: tuple[NahmTriple, ...]
+    nodes: np.ndarray
+
+    def __post_init__(self):
+        _check_range(self.z0, self.z1)
+        nodes = np.asarray(self.nodes, dtype=np.complex128)
+        if nodes.ndim != 4 or len(nodes) < 2 or nodes.shape[1:3] != (3, nodes.shape[3]):
+            raise DimensionMismatch(
+                f"nodes must have shape (n_steps + 1, 3, k, k), got {nodes.shape}"
+            )
+        if not np.isfinite(nodes).all():
+            raise DimensionMismatch("trajectory entries must be finite")
+        if nodes.flags.writeable:
+            nodes = nodes.copy()
+            nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def step(self) -> float:
-        return (self.z1 - self.z0) / (len(self.states) - 1)
+        return (self.z1 - self.z0) / (len(self.nodes) - 1)
 
-    def at(self, z: float) -> NahmTriple:
-        """Interpolated triple at z; raises RangeNotCovered outside.
+    @property
+    def states(self) -> tuple[NahmTriple, ...]:
+        """One validated triple per grid node, built from ``nodes`` on each call."""
+        return tuple(NahmTriple(*node) for node in self.nodes)
 
-        Cubic Hermite between the two nearest grid states, with the flow's
+    def sample(self, zs) -> np.ndarray:
+        """Interpolated triples at the 1-D array zs, shape (len(zs), 3, k, k).
+
+        Cubic Hermite between the two nearest grid nodes, with the flow's
         own derivatives there, so the interpolation error is O(step^4) like
         RK4's. An O(step^2) linear interpolation error is as large as the
         embedded residuals that ``residual_scaling`` tabulates when they are
-        near 1e-8 (up to 78% of them at its default 2000 steps).
+        near 1e-8 (up to 78% of them at its default 2000 steps). Raises
+        RangeNotCovered if any z lies outside [z0, z1] or is not a number.
         """
-        if z < self.z0 - 1e-12 or z > self.z1 + 1e-12:
+        zs = np.asarray(zs, dtype=float)
+        outside = ~((zs >= self.z0 - 1e-12) & (zs <= self.z1 + 1e-12))
+        if outside.any():
+            z = float(zs[outside][0])
             raise RangeNotCovered(f"z = {z} outside trajectory range [{self.z0}, {self.z1}]")
-        pos = (z - self.z0) / self.step
-        i = int(min(max(np.floor(pos), 0), len(self.states) - 2))
-        w = pos - i
-        a, b = self.states[i], self.states[i + 1]
-        a_t, b_t = (a.t1, a.t2, a.t3), (b.t1, b.t2, b.t3)
-        da, db = _triple_rhs(*a_t), _triple_rhs(*b_t)
+        pos = (zs - self.z0) / self.step
+        i = np.clip(np.floor(pos), 0, len(self.nodes) - 2).astype(np.intp)
+        w = (pos - i)[:, None, None, None]
+        a, b = self.nodes[i], self.nodes[i + 1]
         # Hermite basis on [0, 1], the derivative terms scaled by the step
         wa, wb = (1 + 2 * w) * (1 - w) ** 2, w * w * (3 - 2 * w)
         wda, wdb = self.step * w * (1 - w) ** 2, self.step * w * w * (w - 1)
-        t = [wa * x + wb * y + wda * dx + wdb * dy for x, y, dx, dy in zip(a_t, b_t, da, db)]
-        return NahmTriple(*(cmatrix((c - dagger(c)) / 2.0) for c in t))
+        t = wa * a + wb * b + wda * _flow(a) + wdb * _flow(b)
+        return (t - _dagger(t)) / 2.0
+
+    def at(self, z: float) -> NahmTriple:
+        """Interpolated triple at z (see ``sample``); raises RangeNotCovered outside."""
+        return NahmTriple(*(cmatrix(t) for t in self.sample([z])[0]))
 
 
 def state_from_triple(triple: NahmTriple, z: float = 0.0) -> NahmState:
@@ -112,29 +143,53 @@ def nahm_rhs(state: NahmState) -> tuple[CMatrix, CMatrix]:
     return dsigma, dtau
 
 
-def _triple_rhs(t1: CMatrix, t2: CMatrix, t3: CMatrix):
-    return (t2 @ t3 - t3 @ t2, t3 @ t1 - t1 @ t3, t1 @ t2 - t2 @ t1)
+def _dagger(t: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return t.conj().swapaxes(-1, -2)
+
+
+def _flow(t: np.ndarray) -> np.ndarray:
+    """Triple flow ([T2, T3], [T3, T1], [T1, T2]) on stacked (..., 3, k, k) triples."""
+    x = t.take([1, 2, 0], axis=-3)
+    y = t.take([2, 0, 1], axis=-3)
+    return x @ y - y @ x
+
+
+def _check_range(z0: float, z1: float) -> None:
+    if not (np.isfinite(z0) and np.isfinite(z1) and z0 < z1):
+        raise ValueError(f"need finite z0 < z1, got [{z0}, {z1}]")
 
 
 def integrate_nahm(initial: NahmTriple, z0: float, z1: float, n_steps: int) -> NahmTrajectory:
-    """Classical fixed-step RK4 on the triple flow, re-skewed after each step."""
+    """Classical fixed-step RK4 on the triple flow, re-skewed after each step.
+
+    The state is one stacked (3, k, k) array and every node is written into
+    a preallocated (n_steps + 1, 3, k, k) array. The re-skew (c - c*)/2 is
+    exactly skew-hermitian, so only finiteness is left to check, once, when
+    the trajectory is built. A grid numpy cannot allocate is a ValueError.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    _check_range(z0, z1)
+    try:
+        nodes = np.empty((n_steps + 1, 3, initial.k, initial.k), dtype=np.complex128)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"cannot allocate the RK4 nodes array: {exc}") from None
     h = (z1 - z0) / n_steps
-    cur = (initial.t1, initial.t2, initial.t3)
-    states = [initial]
-    for _ in range(n_steps):
-        k1 = _triple_rhs(*cur)
-        k2 = _triple_rhs(*(c + 0.5 * h * k for c, k in zip(cur, k1)))
-        k3 = _triple_rhs(*(c + 0.5 * h * k for c, k in zip(cur, k2)))
-        k4 = _triple_rhs(*(c + h * k for c, k in zip(cur, k3)))
-        cur = tuple(
-            c + (h / 6.0) * (a + 2 * b + 2 * cc + d)
-            for c, a, b, cc, d in zip(cur, k1, k2, k3, k4)
-        )
-        cur = tuple((c - dagger(c)) / 2.0 for c in cur)
-        states.append(NahmTriple(*(cmatrix(c) for c in cur)))
-    return NahmTrajectory(z0=z0, z1=z1, states=tuple(states))
+    nodes[0] = (initial.t1, initial.t2, initial.t3)
+    cur = nodes[0]
+    half, sixth = 0.5 * h, h / 6.0
+    # a flow that blows up fails the finiteness check, not with warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            k1 = _flow(cur)
+            k2 = _flow(cur + half * k1)
+            k3 = _flow(cur + half * k2)
+            k4 = _flow(cur + h * k3)
+            cur = cur + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            cur = nodes[i] = (cur - _dagger(cur)) / 2.0
+    nodes.setflags(write=False)
+    return NahmTrajectory(z0=z0, z1=z1, nodes=nodes)
 
 
 def lax_polynomial_coeffs(triple: NahmTriple) -> np.ndarray:
@@ -157,10 +212,10 @@ def lax_polynomial_coeffs(triple: NahmTriple) -> np.ndarray:
 
 def invariant_drift(trajectory: NahmTrajectory, stride: int = 1) -> float:
     """Max deviation of the conserved Lax coefficients along the trajectory."""
-    base = lax_polynomial_coeffs(trajectory.states[0])
+    base = lax_polynomial_coeffs(NahmTriple(*trajectory.nodes[0]))
     worst = 0.0
-    for state in trajectory.states[::stride]:
-        worst = max(worst, max_abs(lax_polynomial_coeffs(state) - base))
+    for node in trajectory.nodes[::stride]:
+        worst = max(worst, max_abs(lax_polynomial_coeffs(NahmTriple(*node)) - base))
     return worst
 
 
@@ -176,16 +231,13 @@ def embed(trajectory: NahmTrajectory, h: float, sites: range) -> BAChain:
         raise ValueError("need at least one site")
     if sites.step != 1:
         raise ValueError("sites must be consecutive")
-    k = trajectory.states[0].k
-    eye = np.eye(k, dtype=np.complex128)
-    betas = []
-    gammas = []
-    for r in sites:
-        state = state_from_triple(trajectory.at(2 * r * h))
-        betas.append(cmatrix(dagger(state.tau)))
-        if r < sites.stop - 1:
-            mid = state_from_triple(trajectory.at((2 * r + 1) * h))
-            gammas.append(cmatrix(dagger(eye / (2.0 * h) + mid.sigma)))
+    k = trajectory.nodes.shape[-1]
+    # z = 2rh for every site and (2r+1)h for every link, in one sampling call
+    t = trajectory.sample(np.arange(2 * sites.start, 2 * sites.stop - 1) * h)
+    betas = _dagger(t[0::2, 1] + 1j * t[0::2, 2])
+    gammas = _dagger(np.eye(k, dtype=np.complex128) / (2.0 * h) + 1j * t[1::2, 0])
+    betas.setflags(write=False)
+    gammas.setflags(write=False)
     return BAChain(k=k, betas=tuple(betas), gammas=tuple(gammas), origin=sites.start)
 
 
@@ -230,11 +282,14 @@ def residual_scaling(
     least rk_steps steps, then embeds and measures at each h. On generic
     non-commuting data successive rows halve.
     """
-    if not h_list or any(h <= 0 for h in h_list):
-        raise ValueError("h_list must be positive")
+    if not h_list or not all(0 < h < np.inf for h in h_list):
+        raise ValueError("h_list must be finite and positive")
     if list(h_list) != sorted(h_list, reverse=True):
         raise ValueError("h_list must be decreasing")
     span = window + 3.0 * max(h_list)
-    steps = max(rk_steps, int(np.ceil(10.0 * span / min(h_list))))
+    floor = np.ceil(10.0 * span / min(h_list))
+    if not np.isfinite(floor):
+        raise ValueError(f"h = {min(h_list)} needs more RK4 steps than a float can count")
+    steps = max(rk_steps, int(floor))
     trajectory = integrate_nahm(initial, 0.0, span, steps)
     return [embedded_residuals(trajectory, h, window) for h in h_list]

@@ -4,14 +4,18 @@ These deliberately avoid the library's code paths: bivariate determinants
 by recursive cofactor expansion over explicit coefficient grids, matrix
 square roots by eigendecomposition, derivatives by finite differences. The
 Lax checks on the full n*k delta basis of sections share the library's Ward
-operators and stand in for its 3-colour probe block only.
+operators and stand in for its 3-colour probe block only. The RK4 Nahm
+flow integrated node by node, one validated triple per node, and its cubic
+Hermite sampling at one z stand in for the library's stacked-array integrator
+and vectorised sampling.
 """
 
 import numpy as np
 
-from dnahm.errors import ChainTooShort
+from dnahm.continuum import NahmTriple
+from dnahm.errors import ChainTooShort, RangeNotCovered
 from dnahm.lax import WardSection, ward_minus, ward_plus
-from dnahm.linalg import max_abs
+from dnahm.linalg import cmatrix, dagger, max_abs
 from dnahm.model import DNChain
 from dnahm.spectral import pencil
 
@@ -149,3 +153,53 @@ def m_factorization_residual(
 
     lhs = pencil(site.A, site.B, site.D)(eta, zeta) @ f.at(r)
     return max_abs(lhs - rhs)
+
+
+# Per-node RK4: a tuple of 2-D matrices and one frozen, validated NahmTriple
+# per grid node; the library integrates one stacked (n_steps + 1, 3, k, k) array.
+
+
+def _triple_rhs(t1, t2, t3):
+    return (t2 @ t3 - t3 @ t2, t3 @ t1 - t1 @ t3, t1 @ t2 - t2 @ t1)
+
+
+def integrate_nahm(initial: NahmTriple, z0: float, z1: float, n_steps: int):
+    """Classical fixed-step RK4 on the triple flow, re-skewed after each step.
+
+    Returns the grid states, one NahmTriple per node.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    h = (z1 - z0) / n_steps
+    cur = (initial.t1, initial.t2, initial.t3)
+    states = [initial]
+    for _ in range(n_steps):
+        k1 = _triple_rhs(*cur)
+        k2 = _triple_rhs(*(c + 0.5 * h * k for c, k in zip(cur, k1)))
+        k3 = _triple_rhs(*(c + 0.5 * h * k for c, k in zip(cur, k2)))
+        k4 = _triple_rhs(*(c + h * k for c, k in zip(cur, k3)))
+        cur = tuple(
+            c + (h / 6.0) * (a + 2 * b + 2 * cc + d)
+            for c, a, b, cc, d in zip(cur, k1, k2, k3, k4)
+        )
+        cur = tuple((c - dagger(c)) / 2.0 for c in cur)
+        states.append(NahmTriple(*(cmatrix(c) for c in cur)))
+    return tuple(states)
+
+
+def hermite_at(states, z0: float, z1: float, z: float) -> NahmTriple:
+    """Cubic Hermite interpolation of per-node states at one z."""
+    step = (z1 - z0) / (len(states) - 1)
+    if z < z0 - 1e-12 or z > z1 + 1e-12:
+        raise RangeNotCovered(f"z = {z} outside trajectory range [{z0}, {z1}]")
+    pos = (z - z0) / step
+    i = int(min(max(np.floor(pos), 0), len(states) - 2))
+    w = pos - i
+    a, b = states[i], states[i + 1]
+    a_t, b_t = (a.t1, a.t2, a.t3), (b.t1, b.t2, b.t3)
+    da, db = _triple_rhs(*a_t), _triple_rhs(*b_t)
+    # Hermite basis on [0, 1], the derivative terms scaled by the step
+    wa, wb = (1 + 2 * w) * (1 - w) ** 2, w * w * (3 - 2 * w)
+    wda, wdb = step * w * (1 - w) ** 2, step * w * w * (w - 1)
+    t = [wa * x + wb * y + wda * dx + wdb * dy for x, y, dx, dy in zip(a_t, b_t, da, db)]
+    return NahmTriple(*(cmatrix((c - dagger(c)) / 2.0) for c in t))

@@ -253,6 +253,29 @@ class TestContinuumCommand:
     def test_bad_h_list_exit_2(self, tmp_path):
         assert main(["continuum", "--h", "abc", "--out", str(tmp_path / "t.csv")]) == 2
 
+    @pytest.mark.parametrize("h", ["0.04,inf", "inf", "nan", "-0.04", "0.04,0"])
+    def test_non_finite_or_non_positive_h_is_a_usage_error(self, h, tmp_path, capsys):
+        assert main(["continuum", "--h", h, "--out", str(tmp_path / "t.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "UsageError" and doc["message"].startswith("bad --h list")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "h, message",
+        # numpy refuses a 1.1e301-node grid at once, without allocating;
+        # 5e-324 would need more steps than a float holds
+        [("1e-300", "cannot allocate"), ("5e-324", "needs more RK4 steps")],
+    )
+    def test_unallocatable_grid_exit_2(self, h, message, tmp_path, capsys):
+        assert main(["continuum", "--h", h, "--out", str(tmp_path / "t.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "ValueError" and message in doc["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_k1_zero_residuals_pass(self, tmp_path):
         # scalar flow is stationary, so the embedded residuals vanish exactly
         # and there is no scaling to band-check

@@ -1,11 +1,16 @@
 """Tests for the smooth flow, its invariants, and first-order embedding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ellipj, ellipkinc
 
 import dnahm
-from dnahm.errors import RangeNotCovered
+from dnahm.errors import DimensionMismatch, RangeNotCovered
+
+import oracles
 
 PAULI1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -19,6 +24,30 @@ def euler_f(triple):
         (2j * (np.asarray(triple.t2)[0, 1] * 1j)).real,
         (2j * np.asarray(triple.t3)[0, 0]).real,
     )
+
+
+def euler_f_nodes(nodes):
+    """(f1, f2, f3) of stacked su(2) Euler-ansatz triples, shape (..., 3)."""
+    return np.stack(
+        [(2j * nodes[..., 0, 0, 1]).real, (-2 * nodes[..., 1, 0, 1]).real,
+         (2j * nodes[..., 2, 0, 0]).real],
+        axis=-1,
+    )
+
+
+def euler_top_exact(f, z):
+    """Closed-form Euler-top flow f' = (f2 f3, f3 f1, f1 f2) for f3 > f2 > f1 > 0.
+
+    f(z) = alpha (cs, ds, ns)(u0 - alpha z | m) with alpha^2 = f3^2 - f1^2 and
+    m = 1 - (f2^2 - f1^2) / alpha^2, the two conserved differences; u0 puts
+    sn(u0) = alpha / f3 so that the flow starts at f.
+    """
+    f1, f2, f3 = f
+    alpha = np.sqrt(f3**2 - f1**2)
+    m = 1 - (f2**2 - f1**2) / alpha**2
+    u0 = ellipkinc(np.arcsin(1 / np.sqrt(1 + (f1 / alpha) ** 2)), m)
+    sn, cn, dn, _ = ellipj(u0 - alpha * np.asarray(z), m)
+    return alpha * np.stack([cn / sn, dn / sn, 1 / sn], axis=-1)
 
 
 class TestRhs:
@@ -87,6 +116,151 @@ class TestIntegrate:
     def test_lax_coefficients_conserved(self):
         traj = dnahm.integrate_nahm(dnahm.euler_top_triple(), 0.0, 1.0, 1000)
         assert dnahm.invariant_drift(traj, stride=50) < 1e-8
+
+
+class TestStackedIntegrator:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_per_node_oracle(self, k):
+        # same RK4 arithmetic on one stacked array; only the matmul batching
+        # can differ, by rounding of k-term sums
+        triple = dnahm.random_skew_triple(k, seed=50 + k, scale=0.2)
+        traj = dnahm.integrate_nahm(triple, 0.0, 1.0, 300)
+        states = oracles.integrate_nahm(triple, 0.0, 1.0, 300)
+        assert traj.nodes.shape == (301, 3, k, k)
+        for node, state in zip(traj.nodes, states):
+            for t, ref in zip(node, (state.t1, state.t2, state.t3)):
+                assert dnahm.max_abs(t - ref) <= 1e-14 * (1 + dnahm.max_abs(ref))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sampling_matches_per_node_oracle(self, k):
+        triple = dnahm.random_skew_triple(k, seed=60 + k, scale=0.2)
+        traj = dnahm.integrate_nahm(triple, -0.5, 0.7, 40)
+        states = oracles.integrate_nahm(triple, -0.5, 0.7, 40)
+        zs = np.random.default_rng(k).uniform(-0.5, 0.7, 25)
+        for z, sampled in zip(zs, traj.sample(zs)):
+            ref = oracles.hermite_at(states, -0.5, 0.7, z)
+            got = traj.at(z)
+            for t, s, r in zip((got.t1, got.t2, got.t3), sampled, (ref.t1, ref.t2, ref.t3)):
+                assert np.array_equal(t, s)
+                assert dnahm.max_abs(t - r) <= 1e-14 * (1 + dnahm.max_abs(r))
+
+    def test_nodes_are_read_only(self):
+        traj = dnahm.integrate_nahm(dnahm.random_skew_triple(2, seed=1), 0.0, 1.0, 10)
+        assert not traj.nodes.flags.writeable
+        with pytest.raises(ValueError):
+            traj.nodes[0, 0, 0, 0] = 1.0
+        # a writeable array handed to the constructor is copied, not shared
+        nodes = np.array(traj.nodes)
+        built = dnahm.NahmTrajectory(z0=0.0, z1=1.0, nodes=nodes)
+        nodes[0] = 0.0
+        assert np.array_equal(built.nodes, traj.nodes)
+        assert not built.nodes.flags.writeable
+
+    def test_states_step_and_at_semantics(self):
+        triple = dnahm.random_skew_triple(3, seed=2, scale=0.2)
+        traj = dnahm.integrate_nahm(triple, 0.25, 1.25, 32)
+        assert traj.step == 1 / 32
+        states = traj.states
+        assert len(states) == 33 and all(isinstance(s, dnahm.NahmTriple) for s in states)
+        for i in (0, 7, 32):
+            node = traj.nodes[i]
+            assert all(np.array_equal(t, n) for t, n in
+                       zip((states[i].t1, states[i].t2, states[i].t3), node))
+            # at an exact grid node the Hermite weights are (1, 0, 0, 0) or
+            # (0, 1, 0, 0), so at() returns the node itself
+            got = traj.at(0.25 + i * traj.step)
+            for t, n in zip((got.t1, got.t2, got.t3), node):
+                assert np.array_equal(t, n) and not t.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((states[0].t1, states[0].t2, states[0].t3),
+                       (triple.t1, triple.t2, triple.t3)))
+
+    def test_range_edges(self):
+        traj = dnahm.integrate_nahm(dnahm.random_skew_triple(2, seed=3), 0.0, 1.0, 10)
+        traj.at(-1e-13)
+        traj.at(1.0 + 1e-13)
+        for z in (-1e-9, 1.0 + 1e-9, float("nan"), float("inf")):
+            with pytest.raises(RangeNotCovered):
+                traj.at(z)
+        with pytest.raises(RangeNotCovered):
+            traj.sample([0.5, 1.5])
+
+    @pytest.mark.parametrize(
+        "z0, z1", [(1.0, 0.0), (0.5, 0.5), (0.0, float("inf")), (float("nan"), 1.0)]
+    )
+    def test_rejects_empty_reversed_or_non_finite_range(self, z0, z1):
+        with pytest.raises(ValueError):
+            dnahm.integrate_nahm(dnahm.euler_top_triple(), z0, z1, 10)
+
+    @pytest.mark.parametrize("n_steps", [10**301, 10**400])
+    def test_unallocatable_grid_is_a_value_error(self, n_steps):
+        # numpy refuses these shapes before allocating anything
+        with pytest.raises(ValueError, match="cannot allocate"):
+            dnahm.integrate_nahm(dnahm.euler_top_triple(), 0.0, 1.0, n_steps)
+
+    def test_blow_up_is_one_typed_error(self):
+        # the Euler top f = (3, 4, 5) has a pole at z = 0.251; stepping past
+        # it overflows, which is reported once, without numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match="finite"):
+                dnahm.integrate_nahm(dnahm.euler_top_triple((3.0, 4.0, 5.0)), 0.0, 5.0, 200)
+
+    def test_constructor_checks_shape_and_finiteness(self):
+        nodes = np.zeros((5, 3, 2, 2), dtype=complex)
+        with pytest.raises(DimensionMismatch):
+            dnahm.NahmTrajectory(z0=0.0, z1=1.0, nodes=nodes[:, :2])
+        with pytest.raises(DimensionMismatch):
+            dnahm.NahmTrajectory(z0=0.0, z1=1.0, nodes=nodes[:1])
+        with pytest.raises(ValueError):
+            dnahm.NahmTrajectory(z0=1.0, z1=0.0, nodes=nodes)
+        nodes[3, 1, 0, 1] = np.nan
+        with pytest.raises(DimensionMismatch):
+            dnahm.NahmTrajectory(z0=0.0, z1=1.0, nodes=nodes)
+
+
+class TestEulerTopClosedForm:
+    """RK4 against the exact Jacobi-elliptic flow of f = (0.3, 0.4, 0.5).
+
+    Error model: the global RK4 error is O(step^4) with a constant of the
+    size of the flow's fifth derivative (~1e-2 here), plus rounding of
+    ~1e-16 per step; ellipj and ellipkinc are accurate to a few ulp. Cubic
+    Hermite sampling adds at most step^4 max|f''''| / 384 between nodes.
+    """
+
+    F = (0.3, 0.4, 0.5)
+
+    def errors(self, n_steps, zs=None):
+        """Max-abs error in f per sampled z (the grid nodes by default)."""
+        traj = dnahm.integrate_nahm(dnahm.euler_top_triple(self.F), 0.0, 1.0, n_steps)
+        if zs is None:
+            zs, got = np.linspace(0.0, 1.0, n_steps + 1), euler_f_nodes(traj.nodes)
+        else:
+            got = euler_f_nodes(traj.sample(zs))
+        return np.abs(got - euler_top_exact(self.F, zs)).max(axis=-1)
+
+    def test_exact_form_starts_at_f(self):
+        assert_allclose(euler_top_exact(self.F, 0.0), self.F, rtol=1e-15)
+
+    def test_node_error(self):
+        # measured 1.3e-15 on [0, 1]
+        assert self.errors(1000).max() <= 1e-13
+
+    def test_fourth_order(self):
+        # end-point errors 4.5e-13 and 2.9e-14: a ratio of 15.9
+        order = np.log2(self.errors(250)[-1] / self.errors(500)[-1])
+        assert 3.8 <= order <= 4.2
+
+    def test_at_between_nodes(self):
+        # midpoints are where the Hermite error peaks; measured 9.2e-15
+        traj = dnahm.integrate_nahm(dnahm.euler_top_triple(self.F), 0.0, 1.0, 1000)
+        for z in (np.arange(1000) + 0.5)[::97] / 1000:
+            f = euler_f(traj.at(z))
+            assert np.abs(np.subtract(f, euler_top_exact(self.F, z))).max() <= 1e-13
+        # fourth order between nodes too (linear sampling would be second)
+        coarse = self.errors(50, (np.arange(50) + 0.5) / 50).max()
+        fine = self.errors(100, (np.arange(100) + 0.5) / 100).max()
+        assert 3.8 <= np.log2(coarse / fine) <= 4.2
 
 
 class TestEmbed:
@@ -167,3 +341,6 @@ class TestResidualScaling:
             dnahm.residual_scaling(dnahm.euler_top_triple(), [0.01, 0.02])
         with pytest.raises(ValueError):
             dnahm.residual_scaling(dnahm.euler_top_triple(), [])
+        for bad in ([float("inf"), 0.02], [0.04, float("nan")], [0.04, 0.0]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                dnahm.residual_scaling(dnahm.euler_top_triple(), bad)
