@@ -212,18 +212,15 @@ def cmd_spectral(args) -> int:
     except DnahmError as exc:
         return _fail(2, error=type(exc).__name__, message=str(exc))
 
-    surfaces = [spectral.char_surface(s.A, s.B, s.D) for s in chain.sites]
+    surfaces, drift = spectral.site_surfaces(chain)
     base = surfaces[0]
-    series = [
-        (site.r, float(np.abs(surf.c - base.c).max()))
-        for site, surf in zip(chain.sites, surfaces)
-    ]
+    series = [[site.r, d] for site, d in zip(chain.sites, drift.tolist())]
     doc: dict = {
         "format_version": io.FORMAT_VERSION,
         "k": chain.k,
         "sites": [site.r for site in chain.sites],
-        "surfaces": [io.surface_to_grid(surf) for surf in surfaces],
-        "drift": {"max": max(d for _, d in series), "per_site": series},
+        "surfaces": io.matrix_to_pairs([surf.c for surf in surfaces]),
+        "drift": {"max": float(drift.max()), "per_site": series},
     }
     if args.samples:
         points = spectral.curve_samples(base, args.samples)
@@ -242,7 +239,7 @@ def cmd_spectral(args) -> int:
         )
     io.save_json(args.out, doc)
     if args.drift is not None:
-        io.write_csv(args.drift, ["site", "max_abs_drift"], [[r, d] for r, d in series])
+        io.write_csv(args.drift, ["site", "max_abs_drift"], series)
     print(f"wrote {len(surfaces)} surfaces (drift max {doc['drift']['max']:.3e}) -> {args.out}")
     return 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RangeNotCovered
+from .errors import DimensionMismatch, FlowBlowUp, RangeNotCovered
 from .linalg import CMatrix, cmatrix, dagger, max_abs
 from .model import BAChain
 from .spectral import bivariate_coeffs
@@ -165,8 +165,9 @@ def integrate_nahm(initial: NahmTriple, z0: float, z1: float, n_steps: int) -> N
 
     The state is one stacked (3, k, k) array and every node is written into
     a preallocated (n_steps + 1, 3, k, k) array. The re-skew (c - c*)/2 is
-    exactly skew-hermitian, so only finiteness is left to check, once, when
-    the trajectory is built. A grid numpy cannot allocate is a ValueError.
+    exactly skew-hermitian, so only finiteness is left to check, once, after
+    the last step: a flow that blows up raises FlowBlowUp at the first node
+    that is not finite. A grid numpy cannot allocate is a ValueError.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -179,7 +180,7 @@ def integrate_nahm(initial: NahmTriple, z0: float, z1: float, n_steps: int) -> N
     nodes[0] = (initial.t1, initial.t2, initial.t3)
     cur = nodes[0]
     half, sixth = 0.5 * h, h / 6.0
-    # a flow that blows up fails the finiteness check, not with warnings
+    # a flow that blows up is reported once, as FlowBlowUp, not with warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
             k1 = _flow(cur)
@@ -188,6 +189,9 @@ def integrate_nahm(initial: NahmTriple, z0: float, z1: float, n_steps: int) -> N
             k4 = _flow(cur + h * k3)
             cur = cur + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             cur = nodes[i] = (cur - _dagger(cur)) / 2.0
+    finite = np.isfinite(nodes).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise FlowBlowUp(z0 + int(np.argmin(finite)) * h)
     nodes.setflags(write=False)
     return NahmTrajectory(z0=z0, z1=z1, nodes=nodes)
 

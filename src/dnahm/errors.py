@@ -105,5 +105,17 @@ class RangeNotCovered(DnahmError):
     """A trajectory does not cover the z-values needed for embedding."""
 
 
+class FlowBlowUp(DnahmError):
+    """The Nahm flow left the finite doubles inside the integration range.
+
+    A finite-time pole of the flow; z is the first grid node whose triple
+    is not finite.
+    """
+
+    def __init__(self, z: float, message: str = ""):
+        self.z = z
+        super().__init__(message or f"Nahm flow blows up: not finite from z = {z:.6g}")
+
+
 class FormatError(DnahmError):
     """A serialized document is malformed."""

@@ -1,8 +1,10 @@
 """JSON and CSV serialization for chains, metrics, surfaces and tables.
 
 Complex entries are always [re, im] pairs; matrices are row-major nested
-lists of pairs. Documents carry a format_version field. Parsing and
-serialization round-trip bit-exactly for finite doubles.
+lists of pairs. Documents carry a format_version field and are written
+compactly (no indentation). Each field is converted as one array: one
+``tolist`` to write it and one ``np.asarray`` to read it, and the values
+round-trip bit-exactly for finite doubles.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ FORMAT_VERSION = "1"
 Chain = Union[DNChain, BAChain]
 
 
-def matrix_to_pairs(m: CMatrix) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+def matrix_to_pairs(m) -> list:
+    """Nested [re, im] lists of a complex matrix, or of a stack of them, in one tolist."""
+    m = np.asarray(m)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_pairs(obj, context: str = "matrix") -> CMatrix:
+    """One rows x cols matrix from nested [re, im] pairs."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -36,6 +41,56 @@ def matrix_from_pairs(obj, context: str = "matrix") -> CMatrix:
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise FormatError(f"{context}: expected rows x cols x [re, im], got shape {arr.shape}")
     return cmatrix(arr[:, :, 0] + 1j * arr[:, :, 1])
+
+
+def _list_field(doc: dict, field: str) -> list:
+    if field not in doc:
+        raise FormatError(f"document missing field '{field}'")
+    if not isinstance(doc[field], list):
+        raise FormatError(f"'{field}' must be a list, got {type(doc[field]).__name__}")
+    return doc[field]
+
+
+def _matrices(items: list, k: int, label: str) -> np.ndarray:
+    """A read-only (n, k, k) complex128 stack parsed from n [re, im] matrices.
+
+    The whole list is converted and checked at once. Only when that fails
+    are the items examined one by one, so that the FormatError names the
+    first bad one; ``label.format(i)`` is item i's name, e.g. "sites[3].A".
+    """
+    shape = (k, k, 2)
+    try:
+        arr = np.asarray(items, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != (len(items), *shape):
+        for i, item in enumerate(items):
+            try:
+                got = np.asarray(item, dtype=float).shape
+            except (TypeError, ValueError, OverflowError):
+                raise FormatError(f"{label.format(i)}: not a nested numeric array") from None
+            if got != shape:
+                raise FormatError(
+                    f"{label.format(i)}: expected {k} x {k} x [re, im], got shape {got}"
+                )
+        arr = np.empty((0, *shape))  # only an empty list gets here
+    if not np.isfinite(arr).all():
+        i, row, col, _ = np.argwhere(~np.isfinite(arr))[0]
+        raise FormatError(f"{label.format(i)}: entry [{row}][{col}] is not finite")
+    # the per-matrix reader's arithmetic, so values parse exactly as before
+    # (it turns a -0.0 paired with a non-negative part into +0.0)
+    m = arr[..., 0] + 1j * arr[..., 1]
+    m.setflags(write=False)
+    return m
+
+
+def _object_fields(doc: dict, field: str, keys: tuple[str, ...], k: int) -> list[np.ndarray]:
+    """One stack per key of a list of objects: sites -> [A stack, B stack, D stack]."""
+    items = _list_field(doc, field)
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or not all(key in item for key in keys):
+            raise FormatError(f"{field}[{i}]: expected an object with fields {', '.join(keys)}")
+    return [_matrices([item[key] for item in items], k, f"{field}[{{}}].{key}") for key in keys]
 
 
 def chain_to_document(
@@ -47,28 +102,30 @@ def chain_to_document(
     if isinstance(chain, DNChain):
         doc["form"] = "dn"
         doc["origin"] = chain.r0
-        doc["sites"] = [
-            {"A": matrix_to_pairs(s.A), "B": matrix_to_pairs(s.B), "D": matrix_to_pairs(s.D)}
-            for s in chain.sites
-        ]
-        doc["links"] = [
-            {"Pplus": matrix_to_pairs(l.Pplus), "Pminus": matrix_to_pairs(l.Pminus)}
-            for l in chain.links
-        ]
+        a, b, d = (matrix_to_pairs([getattr(s, f) for s in chain.sites]) for f in "ABD")
+        doc["sites"] = [{"A": x, "B": y, "D": z} for x, y, z in zip(a, b, d)]
+        plus, minus = (
+            matrix_to_pairs([getattr(l, f) for l in chain.links]) for f in ("Pplus", "Pminus")
+        )
+        doc["links"] = [{"Pplus": x, "Pminus": y} for x, y in zip(plus, minus)]
     else:
         doc["form"] = "ba"
         doc["origin"] = chain.origin
-        doc["betas"] = [matrix_to_pairs(b) for b in chain.betas]
-        doc["gammas"] = [matrix_to_pairs(g) for g in chain.gammas]
+        doc["betas"] = matrix_to_pairs(chain.betas)
+        doc["gammas"] = matrix_to_pairs(chain.gammas)
     if metric is not None:
-        doc["metric"] = [matrix_to_pairs(g) for g in metric]
+        doc["metric"] = matrix_to_pairs(metric)
     if metadata is not None:
         doc["metadata"] = metadata
     return doc
 
 
 def document_to_chain(doc: dict) -> tuple[Chain, Optional[tuple]]:
-    """Parse a chain document; returns (chain, metric-or-None)."""
+    """Parse a chain document; returns (chain, metric-or-None).
+
+    Each matrix field is parsed as one stacked array, and the chain holds
+    read-only per-site views of it.
+    """
     if not isinstance(doc, dict):
         raise FormatError("chain document must be a JSON object")
     form = doc.get("form")
@@ -77,46 +134,25 @@ def document_to_chain(doc: dict) -> tuple[Chain, Optional[tuple]]:
         origin = int(doc.get("origin", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("chain document needs integer 'k' (and optional 'origin')") from exc
+    if k < 1:
+        raise FormatError(f"chain document needs k >= 1, got {k}")
     metric = None
     if "metric" in doc:
-        metric = tuple(
-            matrix_from_pairs(g, f"metric[{i}]") for i, g in enumerate(doc["metric"])
-        )
+        metric = tuple(_matrices(_list_field(doc, "metric"), k, "metric[{}]"))
     if form == "ba":
+        betas = _matrices(_list_field(doc, "betas"), k, "betas[{}]")
+        gammas = _matrices(_list_field(doc, "gammas"), k, "gammas[{}]")
         try:
-            betas = tuple(
-                matrix_from_pairs(b, f"betas[{i}]") for i, b in enumerate(doc["betas"])
-            )
-            gammas = tuple(
-                matrix_from_pairs(g, f"gammas[{i}]") for i, g in enumerate(doc["gammas"])
-            )
-        except KeyError as exc:
-            raise FormatError("ba document needs 'betas' and 'gammas'") from exc
-        try:
-            return BAChain(k=k, betas=betas, gammas=gammas, origin=origin), metric
+            return BAChain(k=k, betas=tuple(betas), gammas=tuple(gammas), origin=origin), metric
         except Exception as exc:
             raise FormatError(f"inconsistent ba document: {exc}") from exc
     if form == "dn":
-        try:
-            sites = tuple(
-                DNSite(
-                    r=origin + i,
-                    A=matrix_from_pairs(s["A"], f"sites[{i}].A"),
-                    B=matrix_from_pairs(s["B"], f"sites[{i}].B"),
-                    D=matrix_from_pairs(s["D"], f"sites[{i}].D"),
-                )
-                for i, s in enumerate(doc["sites"])
-            )
-            links = tuple(
-                DNLink(
-                    r=origin + i,
-                    Pplus=matrix_from_pairs(l["Pplus"], f"links[{i}].Pplus"),
-                    Pminus=matrix_from_pairs(l["Pminus"], f"links[{i}].Pminus"),
-                )
-                for i, l in enumerate(doc["links"])
-            )
-        except KeyError as exc:
-            raise FormatError(f"dn document missing field: {exc}") from exc
+        a, b, d = _object_fields(doc, "sites", ("A", "B", "D"), k)
+        plus, minus = _object_fields(doc, "links", ("Pplus", "Pminus"), k)
+        sites = tuple(DNSite(r=origin + i, A=a[i], B=b[i], D=d[i]) for i in range(len(a)))
+        links = tuple(
+            DNLink(r=origin + i, Pplus=plus[i], Pminus=minus[i]) for i in range(len(plus))
+        )
         try:
             return DNChain(k=k, sites=sites, links=links), metric
         except Exception as exc:
@@ -134,24 +170,27 @@ def surface_from_grid(obj, k: int) -> SpectralSurface:
 
 
 def metric_to_document(metric, k: int) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "k": k,
-        "metric": [matrix_to_pairs(g) for g in metric],
-    }
+    return {"format_version": FORMAT_VERSION, "k": k, "metric": matrix_to_pairs(metric)}
 
 
 def metric_from_document(doc: dict) -> tuple:
+    """Per-site metric matrices, k x k for the document's 'k'.
+
+    A document without 'k' takes the row count of its first matrix; the
+    chain the metric is used with checks that the size fits.
+    """
+    if not isinstance(doc, dict):
+        raise FormatError("metric document must be a JSON object")
+    items = _list_field(doc, "metric")
     try:
-        return tuple(
-            matrix_from_pairs(g, f"metric[{i}]") for i, g in enumerate(doc["metric"])
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError("metric document needs a 'metric' list") from exc
+        k = int(doc["k"]) if "k" in doc else len(items[0]) if items else 1
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"metric document: no matrix size k ({exc})") from exc
+    return tuple(_matrices(items, k, "metric[{}]"))
 
 
 def save_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def load_json(path) -> dict:

@@ -99,8 +99,11 @@ def bivariate_coeffs(f: Callable[[complex, complex], complex], deg1: int, deg2: 
 
 
 def pencil(A: CMatrix, B: CMatrix, D: CMatrix) -> Callable[[complex, complex], CMatrix]:
-    """M(eta, zeta) = eta zeta A + eta B + zeta I + D, whose determinant is the surface."""
-    eye = np.eye(A.shape[0], dtype=np.complex128)
+    """M(eta, zeta) = eta zeta A + eta B + zeta I + D, whose determinant is the surface.
+
+    A, B and D may be stacks of matrices; M is then the stack of pencils.
+    """
+    eye = np.eye(A.shape[-1], dtype=np.complex128)
 
     def m(eta: complex, zeta: complex) -> CMatrix:
         return eta * zeta * A + eta * B + zeta * eye + D
@@ -126,23 +129,46 @@ def pencil_at_curve_point(
     return pencil(A, B, D)(eta, zeta), scale
 
 
-def char_surface(A: CMatrix, B: CMatrix, D: CMatrix) -> SpectralSurface:
-    """Spectral surface of a site triple."""
-    k = A.shape[0]
-    for m in (A, B, D):
-        if m.shape != (k, k):
-            raise DimensionMismatch("A, B, D must be square matrices of equal size")
-    m_at = pencil(A, B, D)
+def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
+    """Spectral surface of a site triple, or a tuple of them for stacked triples.
 
-    def f(eta: complex, zeta: complex) -> complex:
-        return complex(np.linalg.det(m_at(eta, zeta)))
-
-    c = bivariate_coeffs(f, k, k)
-    if abs(c[0, k] - 1.0) > 1e-12 * (1.0 + max_abs(c)):
-        raise NoConvergence("coefficient extraction lost the identity-block normalization")
-    c[0, k] = 1.0  # forced by the identity block
+    A, B and D are k x k matrices, or (n, k, k) stacks of n site triples;
+    a stack gives a tuple of n surfaces. The determinant grid is filled one
+    roots-of-unity node at a time, each node one determinant batched over
+    the stack, so the working memory is a few (n, k, k) arrays.
+    """
+    A, B, D = (np.asarray(m) for m in (A, B, D))
+    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.shape == B.shape == D.shape:
+        raise DimensionMismatch("A, B, D must be equal-size square matrices or stacks of them")
+    k = A.shape[-1]
+    stacked = A.ndim == 3
+    a, b, d = (m if stacked else m[None] for m in (A, B, D))
+    m_at = pencil(a, b, d)
+    w = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
+    grid = np.empty((len(a), k + 1, k + 1), dtype=np.complex128)
+    for i, eta in enumerate(w):
+        for j, zeta in enumerate(w):
+            grid[:, i, j] = np.linalg.det(m_at(eta, zeta))
+    c = np.fft.fft2(grid) / (k + 1) ** 2
+    lost = np.abs(c[:, 0, k] - 1.0) > 1e-12 * (1.0 + np.abs(c).max(axis=(1, 2)))
+    if lost.any():
+        where = f" at stacked site {int(np.argmax(lost))}" if stacked else ""
+        raise NoConvergence(f"coefficient extraction lost the identity-block normalization{where}")
+    c[:, 0, k] = 1.0  # forced by the identity block
     c.setflags(write=False)
-    return SpectralSurface(k=k, c=c)
+    surfaces = tuple(SpectralSurface(k=k, c=ci) for ci in c)
+    return surfaces if stacked else surfaces[0]
+
+
+def site_surfaces(chain: DNChain) -> tuple[tuple[SpectralSurface, ...], np.ndarray]:
+    """Every site's surface, from one stacked char_surface call, and its drift.
+
+    The drift of site i is max |c_i - c_0|, its largest coefficient deviation
+    from the first site's surface.
+    """
+    surfaces = char_surface(*(np.stack([getattr(s, f) for s in chain.sites]) for f in "ABD"))
+    c = np.stack([surf.c for surf in surfaces])
+    return surfaces, np.abs(c - c[0]).max(axis=(1, 2))
 
 
 def invariance_drift(chain: DNChain) -> float:
@@ -153,16 +179,12 @@ def invariance_drift(chain: DNChain) -> float:
     """
     if len(chain.sites) < 2:
         raise ChainTooShort("drift needs at least two sites")
-    surfaces = [char_surface(s.A, s.B, s.D) for s in chain.sites]
-    base = surfaces[0].c
-    return max(max_abs(surf.c - base) for surf in surfaces[1:])
+    return float(site_surfaces(chain)[1][1:].max())
 
 
 def drift_series(chain: DNChain) -> list[tuple[int, float]]:
     """Per-site drift against the first site, as (site index, deviation) rows."""
-    surfaces = [(s.r, char_surface(s.A, s.B, s.D)) for s in chain.sites]
-    base = surfaces[0][1].c
-    return [(r, max_abs(surf.c - base)) for r, surf in surfaces]
+    return list(zip((s.r for s in chain.sites), site_surfaces(chain)[1].tolist()))
 
 
 def zeta_slice_roots(surface: SpectralSurface, eta: complex) -> np.ndarray:

@@ -51,3 +51,22 @@ def replace_link(chain, index, **fields):
         Pminus=fields.get("Pminus", old.Pminus),
     )
     return dnahm.DNChain(k=chain.k, sites=chain.sites, links=tuple(links))
+
+
+def bits(m):
+    """The raw 64-bit patterns of a float or complex array, so -0.0 != 0.0."""
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def random_dn_chain(rng, k, n, origin=0):
+    """A DN chain of n sites with random entries (shapes only; no equations hold)."""
+    sites = tuple(
+        dnahm.DNSite(r=origin + i, A=random_cmatrix(rng, k), B=random_cmatrix(rng, k),
+                     D=random_cmatrix(rng, k))
+        for i in range(n)
+    )
+    links = tuple(
+        dnahm.DNLink(r=origin + i, Pplus=random_cmatrix(rng, k), Pminus=random_cmatrix(rng, k))
+        for i in range(n - 1)
+    )
+    return dnahm.DNChain(k=k, sites=sites, links=links)

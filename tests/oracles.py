@@ -7,17 +7,29 @@ Lax checks on the full n*k delta basis of sections share the library's Ward
 operators and stand in for its 3-colour probe block only. The RK4 Nahm
 flow integrated node by node, one validated triple per node, and its cubic
 Hermite sampling at one z stand in for the library's stacked-array integrator
-and vectorised sampling.
+and vectorised sampling. The per-entry [re, im] pair writer and reader, with
+the indented chain documents they made, stand in for the library's
+whole-array JSON fields, and the per-site surface, one scalar determinant per
+roots-of-unity node, for its stacked char_surface.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 from dnahm.continuum import NahmTriple
-from dnahm.errors import ChainTooShort, RangeNotCovered
+from dnahm.errors import (
+    ChainTooShort,
+    DimensionMismatch,
+    FormatError,
+    NoConvergence,
+    RangeNotCovered,
+)
 from dnahm.lax import WardSection, ward_minus, ward_plus
 from dnahm.linalg import cmatrix, dagger, max_abs
 from dnahm.model import DNChain
-from dnahm.spectral import pencil
+from dnahm.spectral import SpectralSurface, bivariate_coeffs, pencil
 
 
 def poly_mul2(a, b):
@@ -203,3 +215,73 @@ def hermite_at(states, z0: float, z1: float, z: float) -> NahmTriple:
     wda, wdb = step * w * (1 - w) ** 2, step * w * w * (w - 1)
     t = [wa * x + wb * y + wda * dx + wdb * dy for x, y, dx, dy in zip(a_t, b_t, da, db)]
     return NahmTriple(*(cmatrix((c - dagger(c)) / 2.0) for c in t))
+
+
+# Per-entry JSON pairs: one Python float pair per matrix entry, and chain
+# documents indented through json's pure-Python encoder; the library builds
+# each field with one tolist over the stacked matrices and writes compactly.
+
+
+def matrix_to_pairs(m) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+
+
+def matrix_from_pairs(obj, context: str = "matrix"):
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{context}: not a nested numeric array") from exc
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise FormatError(f"{context}: expected rows x cols x [re, im], got shape {arr.shape}")
+    return cmatrix(arr[:, :, 0] + 1j * arr[:, :, 1])
+
+
+def chain_to_document(chain, metric=None) -> dict:
+    doc: dict = {"format_version": "1", "k": chain.k}
+    if isinstance(chain, DNChain):
+        doc["form"] = "dn"
+        doc["origin"] = chain.r0
+        doc["sites"] = [
+            {"A": matrix_to_pairs(s.A), "B": matrix_to_pairs(s.B), "D": matrix_to_pairs(s.D)}
+            for s in chain.sites
+        ]
+        doc["links"] = [
+            {"Pplus": matrix_to_pairs(l.Pplus), "Pminus": matrix_to_pairs(l.Pminus)}
+            for l in chain.links
+        ]
+    else:
+        doc["form"] = "ba"
+        doc["origin"] = chain.origin
+        doc["betas"] = [matrix_to_pairs(b) for b in chain.betas]
+        doc["gammas"] = [matrix_to_pairs(g) for g in chain.gammas]
+    if metric is not None:
+        doc["metric"] = [matrix_to_pairs(g) for g in metric]
+    return doc
+
+
+def save_json(path, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+# Per-site surface: a closure evaluates one scalar determinant per node of
+# the roots-of-unity grid; the library batches each node's determinant over
+# a stack of sites.
+
+
+def char_surface(A, B, D) -> SpectralSurface:
+    """Spectral surface of a site triple."""
+    k = A.shape[0]
+    for m in (A, B, D):
+        if m.shape != (k, k):
+            raise DimensionMismatch("A, B, D must be square matrices of equal size")
+    m_at = pencil(A, B, D)
+
+    def f(eta: complex, zeta: complex) -> complex:
+        return complex(np.linalg.det(m_at(eta, zeta)))
+
+    c = bivariate_coeffs(f, k, k)
+    if abs(c[0, k] - 1.0) > 1e-12 * (1.0 + max_abs(c)):
+        raise NoConvergence("coefficient extraction lost the identity-block normalization")
+    c[0, k] = 1.0  # forced by the identity block
+    c.setflags(write=False)
+    return SpectralSurface(k=k, c=c)

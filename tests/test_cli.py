@@ -276,6 +276,20 @@ class TestContinuumCommand:
         assert doc["error"] == "ValueError" and message in doc["message"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_flow_blow_up_is_typed_exit_2(self, tmp_path, capsys):
+        # random_skew_triple keeps its scale at every k; at k = 40 the flow
+        # has a pole inside the integration range [0, 1.12]
+        out = tmp_path / "t.csv"
+        assert main(["continuum", "--k", "40", "--h", "0.04", "--steps", "1", "--seed", "0",
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "FlowBlowUp"
+        z = float(doc["message"].rsplit("z = ", 1)[1])
+        assert 0.0 < z <= 1.12
+        assert not out.exists()
+
     def test_k1_zero_residuals_pass(self, tmp_path):
         # scalar flow is stationary, so the embedded residuals vanish exactly
         # and there is no scaling to band-check

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import ellipj, ellipkinc
 
 import dnahm
-from dnahm.errors import DimensionMismatch, RangeNotCovered
+from dnahm.errors import DimensionMismatch, FlowBlowUp, RangeNotCovered
 
 import oracles
 
@@ -200,11 +200,13 @@ class TestStackedIntegrator:
 
     def test_blow_up_is_one_typed_error(self):
         # the Euler top f = (3, 4, 5) has a pole at z = 0.251; stepping past
-        # it overflows, which is reported once, without numpy warnings
+        # it overflows, which is reported once, without numpy warnings, at
+        # the first node that is not finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DimensionMismatch, match="finite"):
+            with pytest.raises(FlowBlowUp, match="finite from z = 0.325") as info:
                 dnahm.integrate_nahm(dnahm.euler_top_triple((3.0, 4.0, 5.0)), 0.0, 5.0, 200)
+        assert info.value.z == pytest.approx(0.325, abs=1e-12)
 
     def test_constructor_checks_shape_and_finiteness(self):
         nodes = np.zeros((5, 3, 2, 2), dtype=complex)

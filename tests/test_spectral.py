@@ -1,11 +1,15 @@
 """Tests for spectral surfaces, drift, and curve diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dnahm
-from dnahm.errors import ChainTooShort, PointNotOnCurve
+from dnahm.errors import ChainTooShort, NoConvergence, PointNotOnCurve
 
 import helpers
 import oracles
@@ -214,3 +218,85 @@ class TestBAFormCurveCrossCheck:
 
         for p in dnahm.curve_samples(s, 10):
             assert abs(ba_form(-p.eta, -p.zeta)) <= 1e-8 * s.magnitude(p.eta, p.zeta)
+
+
+def random_stack(rng, k, n, scale=1.0):
+    shape = (n, k, k)
+    return tuple(scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 for _ in range(3))
+
+
+class TestStackedSurface:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bit_equal_to_per_site_oracle(self, k):
+        a, b, d = random_stack(np.random.default_rng(40 + k), k, 6)
+        surfaces = dnahm.char_surface(a, b, d)
+        assert isinstance(surfaces, tuple) and len(surfaces) == 6
+        for i, surface in enumerate(surfaces):
+            expected = oracles.char_surface(a[i], b[i], d[i]).c
+            assert surface.k == k
+            assert np.array_equal(helpers.bits(surface.c), helpers.bits(expected))
+
+    def test_one_site_stack_equals_the_2d_call(self):
+        a, b, d = random_stack(np.random.default_rng(50), 3, 1)
+        (stacked,) = dnahm.char_surface(a, b, d)
+        single = dnahm.char_surface(a[0], b[0], d[0])
+        assert isinstance(single, dnahm.SpectralSurface)
+        assert np.array_equal(helpers.bits(stacked.c), helpers.bits(single.c))
+        assert not stacked.c.flags.writeable and not single.c.flags.writeable
+
+    def test_mismatched_shapes_rejected(self):
+        a, b, d = random_stack(np.random.default_rng(51), 2, 3)
+        with pytest.raises(dnahm.errors.DimensionMismatch):
+            dnahm.char_surface(a, b[0], d)
+        with pytest.raises(dnahm.errors.DimensionMismatch):
+            dnahm.char_surface(a[:, :, :1], b[:, :, :1], d[:, :, :1])
+
+    def test_one_bad_normalization_site_raises(self):
+        # a rank-1 A of size 1e8 cancels to O(1) rounding in every node's
+        # determinant, far above 1e-12 of its coefficients
+        a, b, d = random_stack(np.random.default_rng(52), 2, 5)
+        a[3], b[3], d[3] = 1e8, 0.0, 0.0
+        with pytest.raises(NoConvergence, match="stacked site 3"):
+            dnahm.char_surface(a, b, d)
+        with pytest.raises(NoConvergence):
+            oracles.char_surface(a[3], b[3], d[3])
+
+    def test_traced_peak_stays_small(self):
+        # one (n, k, k) pencil per node, never all (k+1)^2 nodes' pencils at
+        # once: 60 sites at k = 8 peak near 0.3 MB, the 5-D layout at 10 MB
+        a, b, d = random_stack(np.random.default_rng(53), 8, 60)
+        dnahm.char_surface(a[:1], b[:1], d[:1])  # numpy's lazy set-up is not the call's
+        tracemalloc.start()
+        try:
+            dnahm.char_surface(a, b, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_drift_matches_per_site_oracle(self):
+        ba, bk = helpers.evolved_chain(3, seed=14)
+        assert bk is None
+        chain = dnahm.from_braam_austin(ba)
+        base = oracles.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D).c
+        expected = [
+            (s.r, dnahm.max_abs(oracles.char_surface(s.A, s.B, s.D).c - base))
+            for s in chain.sites
+        ]
+        assert dnahm.drift_series(chain) == expected
+        assert dnahm.invariance_drift(chain) == max(d for _, d in expected[1:])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(k=st.integers(1, 6), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_gauge_invariance_property(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b, d = random_stack(rng, k, n)
+        # well-conditioned gauges: identity plus a perturbation of norm < 1/2
+        g = np.eye(k) + 0.1 * (rng.standard_normal((n, k, k))
+                               + 1j * rng.standard_normal((n, k, k))) / k
+        gi = np.linalg.inv(g)
+        c0 = np.stack([s.c for s in dnahm.char_surface(a, b, d)])
+        c1 = np.stack([s.c for s in dnahm.char_surface(g @ a @ gi, g @ b @ gi, g @ d @ gi)])
+        scale = 1.0 + np.abs(c0).max(axis=(1, 2))
+        assert np.all(np.abs(c1 - c0).max(axis=(1, 2)) <= 1e-12 * scale)
