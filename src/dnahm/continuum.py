@@ -116,7 +116,7 @@ class NahmTrajectory:
         wa, wb = (1 + 2 * w) * (1 - w) ** 2, w * w * (3 - 2 * w)
         wda, wdb = self.step * w * (1 - w) ** 2, self.step * w * w * (w - 1)
         t = wa * a + wb * b + wda * _flow(a) + wdb * _flow(b)
-        return (t - _dagger(t)) / 2.0
+        return (t - dagger(t)) / 2.0
 
     def at(self, z: float) -> NahmTriple:
         """Interpolated triple at z (see ``sample``); raises RangeNotCovered outside."""
@@ -141,11 +141,6 @@ def nahm_rhs(state: NahmState) -> tuple[CMatrix, CMatrix]:
     sh, th = dagger(sigma), dagger(tau)
     dsigma = 0.5 * ((sigma @ sh - sh @ sigma) + (tau @ th - th @ tau))
     return dsigma, dtau
-
-
-def _dagger(t: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a stack."""
-    return t.conj().swapaxes(-1, -2)
 
 
 def _flow(t: np.ndarray) -> np.ndarray:
@@ -188,7 +183,7 @@ def integrate_nahm(initial: NahmTriple, z0: float, z1: float, n_steps: int) -> N
             k3 = _flow(cur + half * k2)
             k4 = _flow(cur + h * k3)
             cur = cur + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            cur = nodes[i] = (cur - _dagger(cur)) / 2.0
+            cur = nodes[i] = (cur - dagger(cur)) / 2.0
     finite = np.isfinite(nodes).all(axis=(1, 2, 3))
     if not finite.all():
         raise FlowBlowUp(z0 + int(np.argmin(finite)) * h)
@@ -238,11 +233,9 @@ def embed(trajectory: NahmTrajectory, h: float, sites: range) -> BAChain:
     k = trajectory.nodes.shape[-1]
     # z = 2rh for every site and (2r+1)h for every link, in one sampling call
     t = trajectory.sample(np.arange(2 * sites.start, 2 * sites.stop - 1) * h)
-    betas = _dagger(t[0::2, 1] + 1j * t[0::2, 2])
-    gammas = _dagger(np.eye(k, dtype=np.complex128) / (2.0 * h) + 1j * t[1::2, 0])
-    betas.setflags(write=False)
-    gammas.setflags(write=False)
-    return BAChain(k=k, betas=tuple(betas), gammas=tuple(gammas), origin=sites.start)
+    betas = dagger(t[0::2, 1] + 1j * t[0::2, 2])
+    gammas = dagger(np.eye(k, dtype=np.complex128) / (2.0 * h) + 1j * t[1::2, 0])
+    return BAChain(k=k, betas=betas, gammas=gammas, origin=sites.start)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefinite, NotRealityCompatible, SingularGamma
+from .errors import NotRealityCompatible, SingularGamma
 from .linalg import CMatrix, cmatrix, dagger, max_abs
 from .model import BAChain
 
@@ -52,11 +52,10 @@ def _sqrt_step(h: CMatrix, tol: float) -> tuple[StepStatus, float, Optional[CMat
     lam_min = float(np.linalg.eigvalsh(hs)[0])
     if lam_min <= tol * max_abs(hs):
         return StepStatus.BREAKDOWN, lam_min, None
-    try:
-        root = linalg.positive_sqrt(hs, tol=min(tol, linalg.SYMMETRY_TOL))
-    except NotPositiveDefinite as exc:
-        return StepStatus.BREAKDOWN, exc.lambda_min, None
-    return StepStatus.ADVANCED, lam_min, root
+    # the rule above alone decides breakdown: hs is exactly Hermitian and, for
+    # tol >= 0, lam_min > 0, so positive_sqrt's checks pass at tol = 0 (its own
+    # floor, tol * (1 + |H|), would stop positive chains of small scale)
+    return StepStatus.ADVANCED, lam_min, linalg.positive_sqrt(hs, tol=0.0)
 
 
 def step_forward(gamma_prev: CMatrix, beta_cur: CMatrix, tol: float = BREAKDOWN_TOL) -> StepOutcome:
@@ -113,12 +112,11 @@ def evolve(
         for j in range(1, n_steps):
             outcome = step_forward(gammas[j - 1], betas[j], tol)
             if outcome.status is StepStatus.BREAKDOWN:
-                chain = BAChain(k=k, betas=tuple(betas), gammas=tuple(gammas), origin=0)
-                return chain, j - 1
+                return BAChain(k=k, betas=betas, gammas=gammas), j - 1
             gamma_next, beta_next = outcome.produced
             gammas.append(gamma_next)
             betas.append(beta_next)
-        return BAChain(k=k, betas=tuple(betas), gammas=tuple(gammas), origin=0), None
+        return BAChain(k=k, betas=betas, gammas=gammas), None
 
     # Backward: the seed site is the right end. Each step produces the link
     # to the left and the beta between the two leftmost links; the beta at
@@ -136,7 +134,7 @@ def evolve(
         gammas.insert(0, gamma_prev)
     betas.insert(0, cmatrix(gammas[0] @ betas[0] @ np.linalg.inv(gammas[0])))
     origin = -len(gammas)
-    chain = BAChain(k=k, betas=tuple(betas), gammas=tuple(gammas), origin=origin)
+    chain = BAChain(k=k, betas=betas, gammas=gammas, origin=origin)
     return chain, (origin if broke else None)
 
 

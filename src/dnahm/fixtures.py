@@ -22,7 +22,7 @@ import numpy as np
 from . import evolution
 from .errors import InconsistentScalars, InvalidMass, SeedExhausted
 from .linalg import CMatrix, cmatrix, dagger, matrix_rank
-from .model import DNChain, DNLink, DNSite, MetricSequence
+from .model import DNChain
 from .continuum import NahmTriple
 
 _PAULI = (
@@ -53,8 +53,9 @@ class BoundaryRanks:
     right: int
 
 
-def trig_solution(p: float) -> tuple[DNChain, MetricSequence]:
-    """The trigonometric charge-2 chain on sites 1..2p and its reality metric."""
+def trig_solution(p: float) -> tuple[DNChain, np.ndarray]:
+    """The trigonometric charge-2 chain on sites 1..2p and its reality metric,
+    a read-only (2p, 2, 2) stack."""
     params = trig_params(p)
     phi = params.phi
     s = math.sin(phi)
@@ -62,20 +63,17 @@ def trig_solution(p: float) -> tuple[DNChain, MetricSequence]:
     def sk(m: int) -> float:
         return math.sin(m * phi)
 
-    sites = []
-    metric = []
-    for r in params.site_range:
-        a = cmatrix([[0.0, -s / sk(r + 1)], [0.0, 0.0]])
-        b = cmatrix([[-sk(r + 1) / sk(r), 0.0], [0.0, -sk(r) / sk(r + 1)]])
-        d = cmatrix([[0.0, 0.0], [s / sk(r), 0.0]])
-        sites.append(DNSite(r=r, A=a, B=b, D=d))
-        metric.append(cmatrix([[sk(r + 1), 0.0], [0.0, sk(r)]]))
-    links = []
-    for r in params.site_range[:-1]:
-        pplus = cmatrix([[1.0, 0.0], [0.0, sk(r) / sk(r + 1)]])
-        pminus = cmatrix([[-sk(r + 2) / sk(r + 1), 0.0], [0.0, -1.0]])
-        links.append(DNLink(r=r, Pplus=pplus, Pminus=pminus))
-    return DNChain(k=2, sites=tuple(sites), links=tuple(links)), tuple(metric)
+    sites, links = params.site_range, params.site_range[:-1]
+    chain = DNChain(
+        k=2,
+        A=[[[0.0, -s / sk(r + 1)], [0.0, 0.0]] for r in sites],
+        B=[[[-sk(r + 1) / sk(r), 0.0], [0.0, -sk(r) / sk(r + 1)]] for r in sites],
+        D=[[[0.0, 0.0], [s / sk(r), 0.0]] for r in sites],
+        Pplus=[[[1.0, 0.0], [0.0, sk(r) / sk(r + 1)]] for r in links],
+        Pminus=[[[-sk(r + 2) / sk(r + 1), 0.0], [0.0, -1.0]] for r in links],
+        origin=sites.start,
+    )
+    return chain, cmatrix([[[sk(r + 1), 0.0], [0.0, sk(r)]] for r in sites])
 
 
 def boundary_rank_check(chain: DNChain, tol: float = 1e-9) -> BoundaryRanks:
@@ -84,10 +82,10 @@ def boundary_rank_check(chain: DNChain, tol: float = 1e-9) -> BoundaryRanks:
     Both equal 1 exactly for the chains that come from monopole boundary
     data; the trigonometric family realizes that whenever 2p is an integer.
     """
-    first, last = chain.sites[0], chain.sites[-1]
+    A, B, D = chain.A, chain.B, chain.D
     return BoundaryRanks(
-        left=matrix_rank(first.B - first.D @ first.A, tol),
-        right=matrix_rank(last.B - last.A @ last.D, tol),
+        left=matrix_rank(B[0] - D[0] @ A[0], tol),
+        right=matrix_rank(B[-1] - A[-1] @ D[-1], tol),
     )
 
 
@@ -101,15 +99,15 @@ def scalar_solution(
     scale = 1.0 + max(abs(a), abs(b), abs(d), abs(p_minus), abs(p_plus))
     if deviation > 1e-12 * scale:
         raise InconsistentScalars(f"b - (p- p+ + a d) = {deviation:.3e}")
-    sites = tuple(
-        DNSite(r=r, A=cmatrix([[a]]), B=cmatrix([[b]]), D=cmatrix([[d]]))
-        for r in range(length)
+    sites, links = (length, 1, 1), (length - 1, 1, 1)
+    return DNChain(
+        k=1,
+        A=np.full(sites, a, dtype=np.complex128),
+        B=np.full(sites, b, dtype=np.complex128),
+        D=np.full(sites, d, dtype=np.complex128),
+        Pplus=np.full(links, p_plus, dtype=np.complex128),
+        Pminus=np.full(links, p_minus, dtype=np.complex128),
     )
-    links = tuple(
-        DNLink(r=r, Pplus=cmatrix([[p_plus]]), Pminus=cmatrix([[p_minus]]))
-        for r in range(length - 1)
-    )
-    return DNChain(k=1, sites=sites, links=links)
 
 
 def random_reality_seed(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FormatError
 from .linalg import CMatrix, cmatrix
-from .model import BAChain, DNChain, DNLink, DNSite
+from .model import BAChain, DNChain
 from .spectral import SpectralSurface
 
 FORMAT_VERSION = "1"
@@ -40,7 +40,12 @@ def matrix_from_pairs(obj, context: str = "matrix") -> CMatrix:
         raise FormatError(f"{context}: not a nested numeric array") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise FormatError(f"{context}: expected rows x cols x [re, im], got shape {arr.shape}")
-    return cmatrix(arr[:, :, 0] + 1j * arr[:, :, 1])
+    return cmatrix(_complex(arr))
+
+
+def _complex(arr: np.ndarray) -> np.ndarray:
+    """The complex128 view of float [re, im] pairs in the last axis, every bit kept."""
+    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 
 
 def _list_field(doc: dict, field: str) -> list:
@@ -77,9 +82,7 @@ def _matrices(items: list, k: int, label: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         i, row, col, _ = np.argwhere(~np.isfinite(arr))[0]
         raise FormatError(f"{label.format(i)}: entry [{row}][{col}] is not finite")
-    # the per-matrix reader's arithmetic, so values parse exactly as before
-    # (it turns a -0.0 paired with a non-negative part into +0.0)
-    m = arr[..., 0] + 1j * arr[..., 1]
+    m = _complex(arr)
     m.setflags(write=False)
     return m
 
@@ -102,11 +105,10 @@ def chain_to_document(
     if isinstance(chain, DNChain):
         doc["form"] = "dn"
         doc["origin"] = chain.r0
-        a, b, d = (matrix_to_pairs([getattr(s, f) for s in chain.sites]) for f in "ABD")
-        doc["sites"] = [{"A": x, "B": y, "D": z} for x, y, z in zip(a, b, d)]
-        plus, minus = (
-            matrix_to_pairs([getattr(l, f) for l in chain.links]) for f in ("Pplus", "Pminus")
+        a, b, d, plus, minus = (
+            matrix_to_pairs(m) for m in (chain.A, chain.B, chain.D, chain.Pplus, chain.Pminus)
         )
+        doc["sites"] = [{"A": x, "B": y, "D": z} for x, y, z in zip(a, b, d)]
         doc["links"] = [{"Pplus": x, "Pminus": y} for x, y in zip(plus, minus)]
     else:
         doc["form"] = "ba"
@@ -120,11 +122,11 @@ def chain_to_document(
     return doc
 
 
-def document_to_chain(doc: dict) -> tuple[Chain, Optional[tuple]]:
+def document_to_chain(doc: dict) -> tuple[Chain, Optional[np.ndarray]]:
     """Parse a chain document; returns (chain, metric-or-None).
 
-    Each matrix field is parsed as one stacked array, and the chain holds
-    read-only per-site views of it.
+    Each matrix field is parsed as one stacked array; the metric is a
+    read-only (n, k, k) stack.
     """
     if not isinstance(doc, dict):
         raise FormatError("chain document must be a JSON object")
@@ -138,23 +140,19 @@ def document_to_chain(doc: dict) -> tuple[Chain, Optional[tuple]]:
         raise FormatError(f"chain document needs k >= 1, got {k}")
     metric = None
     if "metric" in doc:
-        metric = tuple(_matrices(_list_field(doc, "metric"), k, "metric[{}]"))
+        metric = _matrices(_list_field(doc, "metric"), k, "metric[{}]")
     if form == "ba":
         betas = _matrices(_list_field(doc, "betas"), k, "betas[{}]")
         gammas = _matrices(_list_field(doc, "gammas"), k, "gammas[{}]")
         try:
-            return BAChain(k=k, betas=tuple(betas), gammas=tuple(gammas), origin=origin), metric
+            return BAChain(k=k, betas=betas, gammas=gammas, origin=origin), metric
         except Exception as exc:
             raise FormatError(f"inconsistent ba document: {exc}") from exc
     if form == "dn":
         a, b, d = _object_fields(doc, "sites", ("A", "B", "D"), k)
         plus, minus = _object_fields(doc, "links", ("Pplus", "Pminus"), k)
-        sites = tuple(DNSite(r=origin + i, A=a[i], B=b[i], D=d[i]) for i in range(len(a)))
-        links = tuple(
-            DNLink(r=origin + i, Pplus=plus[i], Pminus=minus[i]) for i in range(len(plus))
-        )
         try:
-            return DNChain(k=k, sites=sites, links=links), metric
+            return DNChain(k, a, b, d, plus, minus, origin), metric
         except Exception as exc:
             raise FormatError(f"inconsistent dn document: {exc}") from exc
     raise FormatError(f"unknown chain form {form!r} (expected 'dn' or 'ba')")
@@ -173,8 +171,8 @@ def metric_to_document(metric, k: int) -> dict:
     return {"format_version": FORMAT_VERSION, "k": k, "metric": matrix_to_pairs(metric)}
 
 
-def metric_from_document(doc: dict) -> tuple:
-    """Per-site metric matrices, k x k for the document's 'k'.
+def metric_from_document(doc: dict) -> np.ndarray:
+    """Per-site metric matrices, a read-only (n, k, k) stack for the document's 'k'.
 
     A document without 'k' takes the row count of its first matrix; the
     chain the metric is used with checks that the size fits.
@@ -186,7 +184,7 @@ def metric_from_document(doc: dict) -> tuple:
         k = int(doc["k"]) if "k" in doc else len(items[0]) if items else 1
     except (TypeError, ValueError) as exc:
         raise FormatError(f"metric document: no matrix size k ({exc})") from exc
-    return tuple(_matrices(items, k, "metric[{}]"))
+    return _matrices(items, k, "metric[{}]")
 
 
 def save_json(path, doc: dict) -> None:

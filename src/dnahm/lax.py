@@ -78,12 +78,12 @@ def ward_plus(chain: DNChain, eta: complex, f: WardSection) -> WardSection:
     if lo > hi:
         raise ChainTooShort("no sites on which W+ is defined")
     eye = np.eye(chain.k, dtype=np.complex128)
-    rows = []
-    for r in range(lo, hi + 1):
-        link = chain.link(r - 1)
-        site = chain.site(r)
-        rows.append(link.Pplus @ f.at(r - 1) - (eta * site.A + eye) @ f.at(r))
-    return WardSection(start=lo, values=np.array(rows))
+    site = slice(lo - chain.r0, hi + 1 - chain.r0)
+    at = slice(lo - f.start, hi + 1 - f.start)
+    link, prev = (slice(s.start - 1, s.stop - 1) for s in (site, at))
+    v = f.values if f.values.ndim == 3 else f.values[..., None]  # one section: 1 column
+    values = chain.Pplus[link] @ v[prev] - (eta * chain.A[site] + eye) @ v[at]
+    return WardSection(start=lo, values=values.reshape(-1, *f.values.shape[1:]))
 
 
 def ward_minus(chain: DNChain, eta: complex, zeta: complex, f: WardSection) -> WardSection:
@@ -93,12 +93,12 @@ def ward_minus(chain: DNChain, eta: complex, zeta: complex, f: WardSection) -> W
     if lo > hi:
         raise ChainTooShort("no sites on which W- is defined")
     eye = np.eye(chain.k, dtype=np.complex128)
-    rows = []
-    for r in range(lo, hi + 1):
-        link = chain.link(r)
-        site = chain.site(r)
-        rows.append(eta * link.Pminus @ f.at(r + 1) + (zeta * eye + site.D) @ f.at(r))
-    return WardSection(start=lo, values=np.array(rows))
+    site = slice(lo - chain.r0, hi + 1 - chain.r0)
+    at = slice(lo - f.start, hi + 1 - f.start)
+    nxt = slice(at.start + 1, at.stop + 1)
+    v = f.values if f.values.ndim == 3 else f.values[..., None]  # one section: 1 column
+    values = eta * chain.Pminus[site] @ v[nxt] + (zeta * eye + chain.D[site]) @ v[at]
+    return WardSection(start=lo, values=values.reshape(-1, *f.values.shape[1:]))
 
 
 def commutator_residual(chain: DNChain, eta: complex, zeta: complex) -> float:
@@ -112,7 +112,7 @@ def commutator_residual(chain: DNChain, eta: complex, zeta: complex) -> float:
     (the zeta terms cancel identically; the survivors are eta-weighted
     combinations of the equation residuals).
     """
-    if len(chain.sites) < 3:
+    if len(chain.A) < 3:
         raise ChainTooShort("commutator needs at least three sites")
     f = basis_sections(chain)
     pm = ward_plus(chain, eta, ward_minus(chain, eta, zeta, f))

@@ -29,13 +29,14 @@ SYMMETRY_TOL = 1e-12
 
 
 def cmatrix(data) -> CMatrix:
-    """Validate a matrix: 2-D complex128 with all entries finite.
+    """Validate a matrix, or an (n, rows, cols) stack of them: complex128 with
+    all entries finite.
 
     The returned array is a frozen copy (non-writeable), safe to share.
     """
     m = np.array(data, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DimensionMismatch("matrix entries must be finite")
     m.setflags(write=False)
@@ -43,8 +44,8 @@ def cmatrix(data) -> CMatrix:
 
 
 def dagger(m: CMatrix) -> CMatrix:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose, of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def max_abs(m: CMatrix) -> float:
@@ -124,13 +125,18 @@ def require_invertible(
 ) -> None:
     """The invertibility rule: raise ``error`` (Singular or the subclass naming
     the matrix's role, with the condition estimate) when the smallest singular
-    value is at or below tol times the largest."""
-    _require_square(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    smin = s[-1] if s.size else 0.0
-    if smax == 0.0 or smin <= tol * smax:
-        raise error(condition=float(smax / smin) if smin > 0 else np.inf)
+    value is at or below tol times the largest. For a stack of matrices the
+    error carries the condition of the first one that fails."""
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    s = np.linalg.svd(m, compute_uv=False).reshape(-1, m.shape[-1])
+    if not s.shape[1]:
+        raise error(condition=np.inf)  # a 0 x 0 matrix
+    smax, smin = s[:, 0], s[:, -1]
+    failed = np.flatnonzero((smax == 0.0) | (smin <= tol * smax))
+    if failed.size:
+        i = failed[0]
+        raise error(condition=float(smax[i] / smin[i]) if smin[i] > 0 else np.inf)
 
 
 def inverse(m: CMatrix, tol: float = RANK_TOL) -> CMatrix:

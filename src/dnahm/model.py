@@ -11,7 +11,8 @@ The two are related by the substitution
 
 with B reconstructed from B_r = P-_{r+1} P+_r + A_r D_r (right link) or
 B_r = P+_{r-1} P-_r + D_r A_r (left link); the two expressions agree
-exactly when the discrete Nahm equations hold.
+exactly when the discrete Nahm equations hold. Both forms store (n, k, k)
+stacks, and each whole-chain function is one batched array expression.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .errors import (
 )
 from .linalg import CMatrix, cmatrix, dagger, max_abs
 
-MetricSequence = tuple  # per-site Hermitian positive-definite matrices
-
 
 @dataclass(frozen=True)
 class DNSite:
@@ -55,63 +54,87 @@ class DNLink:
     Pminus: CMatrix  # V_{r+1} -> V_r
 
 
+def _store(chain, sites: tuple[str, ...], links: tuple[str, ...]) -> None:
+    """The chains' storage check: every named field becomes a read-only
+    complex128 stack with finite entries, (n, k, k) for the per-site fields
+    and (n-1, k, k) for the per-link ones."""
+    k, n = chain.k, len(getattr(chain, sites[0]))
+    if n == 0:
+        raise DimensionMismatch("chain needs at least one site")
+    for name in sites + links:
+        data = getattr(chain, name)
+        try:
+            m = cmatrix(data if len(data) else np.empty((0, k, k)))
+        except ValueError as exc:  # ragged or non-numeric data
+            raise DimensionMismatch(f"{name}: {exc}") from None
+        shape = (n if name in sites else n - 1, k, k)
+        if m.shape != shape:
+            raise DimensionMismatch(f"{name}: expected a {shape} stack, got shape {m.shape}")
+        object.__setattr__(chain, name, m)
+
+
 @dataclass(frozen=True)
 class DNChain:
+    """Sites origin..origin+n-1: (n, k, k) stacks A, B, D of the site data and
+    (n-1, k, k) stacks Pplus, Pminus of the link data, held read-only.
+
+    ``sites``, ``links``, ``site(r)`` and ``link(r)`` are per-site views of
+    the stacks, built on each call.
+    """
+
     k: int
-    sites: tuple[DNSite, ...]
-    links: tuple[DNLink, ...]
+    A: np.ndarray
+    B: np.ndarray
+    D: np.ndarray
+    Pplus: np.ndarray
+    Pminus: np.ndarray
+    origin: int = 0
 
     def __post_init__(self):
-        if not self.sites:
-            raise DimensionMismatch("chain needs at least one site")
-        if len(self.links) != len(self.sites) - 1:
-            raise DimensionMismatch("links count must be sites count - 1")
-        for i, site in enumerate(self.sites):
-            if site.r != self.sites[0].r + i:
-                raise DimensionMismatch("site indices must be consecutive")
-            for m in (site.A, site.B, site.D):
-                if m.shape != (self.k, self.k):
-                    raise DimensionMismatch(f"site {site.r}: expected {self.k}x{self.k} data")
-        for i, link in enumerate(self.links):
-            if link.r != self.sites[i].r:
-                raise DimensionMismatch("link indices must follow site indices")
-            for m in (link.Pplus, link.Pminus):
-                if m.shape != (self.k, self.k):
-                    raise DimensionMismatch(f"link {link.r}: expected {self.k}x{self.k} data")
+        _store(self, ("A", "B", "D"), ("Pplus", "Pminus"))
 
     @property
     def r0(self) -> int:
-        return self.sites[0].r
+        return self.origin
 
     @property
     def r1(self) -> int:
-        return self.sites[-1].r
+        return self.origin + len(self.A) - 1
+
+    @property
+    def sites(self) -> tuple[DNSite, ...]:
+        return tuple(self.site(r) for r in range(self.r0, self.r1 + 1))
+
+    @property
+    def links(self) -> tuple[DNLink, ...]:
+        return tuple(self.link(r) for r in range(self.r0, self.r1))
 
     def site(self, r: int) -> DNSite:
-        return self.sites[r - self.r0]
+        if not self.r0 <= r <= self.r1:
+            raise IndexError(f"site {r} outside [{self.r0}, {self.r1}]")
+        i = r - self.r0
+        return DNSite(r=r, A=self.A[i], B=self.B[i], D=self.D[i])
 
     def link(self, r: int) -> DNLink:
         """Link between sites r and r+1."""
-        return self.links[r - self.r0]
+        if not self.r0 <= r < self.r1:
+            raise IndexError(f"link {r} outside [{self.r0}, {self.r1 - 1}]")
+        i = r - self.r0
+        return DNLink(r=r, Pplus=self.Pplus[i], Pminus=self.Pminus[i])
 
 
 @dataclass(frozen=True)
 class BAChain:
-    """Braam-Austin form: betas per site, gammas per link, site index origin."""
+    """Braam-Austin form: betas per site and gammas per link, held as read-only
+    (n, k, k) and (n-1, k, k) stacks, and the site index origin."""
 
     k: int
-    betas: tuple[CMatrix, ...]
-    gammas: tuple[CMatrix, ...]
+    betas: np.ndarray
+    gammas: np.ndarray
     origin: int = 0
 
     def __post_init__(self):
-        if not self.betas:
-            raise DimensionMismatch("chain needs at least one beta")
-        if len(self.gammas) != len(self.betas) - 1:
-            raise DimensionMismatch("gammas count must be betas count - 1")
-        for m in (*self.betas, *self.gammas):
-            if m.shape != (self.k, self.k):
-                raise DimensionMismatch(f"expected {self.k}x{self.k} matrices")
+        _store(self, ("betas",), ("gammas",))
 
 
 @dataclass(frozen=True)
@@ -160,27 +183,15 @@ def from_braam_austin(ba: BAChain, tol: float = linalg.RANK_TOL) -> DNChain:
     output satisfies the discrete Nahm equations exactly when the input
     satisfies the Braam-Austin equations.
     """
-    if not ba.gammas:
+    if not len(ba.gammas):
         raise ChainTooShort("B cannot be reconstructed without at least one link")
-    for g in ba.gammas:
-        linalg.require_invertible(g, tol, SingularGamma)
-    n = len(ba.betas)
-    sites = []
-    for j, beta in enumerate(ba.betas):
-        a = cmatrix(-beta)
-        d = cmatrix(dagger(beta))
-        if j < n - 1:
-            g = ba.gammas[j]
-            b = cmatrix(-g @ dagger(g) + a @ d)
-        else:
-            g = ba.gammas[j - 1]
-            b = cmatrix(-dagger(g) @ g + d @ a)
-        sites.append(DNSite(r=ba.origin + j, A=a, B=b, D=d))
-    links = [
-        DNLink(r=ba.origin + j, Pplus=cmatrix(dagger(g)), Pminus=cmatrix(-g))
-        for j, g in enumerate(ba.gammas)
-    ]
-    return DNChain(k=ba.k, sites=tuple(sites), links=tuple(links))
+    linalg.require_invertible(ba.gammas, tol, SingularGamma)
+    g, g_dag = ba.gammas, dagger(ba.gammas)
+    a, d = -ba.betas, dagger(ba.betas)
+    b_right = -g @ g_dag + a[:-1] @ d[:-1]
+    b_last = -g_dag[-1] @ g[-1] + d[-1] @ a[-1]
+    b = np.concatenate((b_right, b_last[None]))
+    return DNChain(k=ba.k, A=a, B=b, D=d, Pplus=g_dag, Pminus=-g, origin=ba.origin)
 
 
 def to_braam_austin(chain: DNChain, tol: float = 1e-9) -> BAChain:
@@ -189,19 +200,13 @@ def to_braam_austin(chain: DNChain, tol: float = 1e-9) -> BAChain:
     Requires the reality pattern D = -A*, P+ = -(P-)* within tol (relative);
     raises NotRealityCompatible with the worst deviation otherwise.
     """
-    deviation = 0.0
-    scale = 1.0
-    for site in chain.sites:
-        deviation = max(deviation, max_abs(site.D + dagger(site.A)))
-        scale = max(scale, max_abs(site.A), max_abs(site.D))
-    for link in chain.links:
-        deviation = max(deviation, max_abs(link.Pplus + dagger(link.Pminus)))
-        scale = max(scale, max_abs(link.Pplus), max_abs(link.Pminus))
+    deviation = max(
+        max_abs(chain.D + dagger(chain.A)), max_abs(chain.Pplus + dagger(chain.Pminus))
+    )
+    scale = max(1.0, *(max_abs(m) for m in (chain.A, chain.D, chain.Pplus, chain.Pminus)))
     if deviation > tol * scale:
         raise NotRealityCompatible(deviation)
-    betas = tuple(cmatrix(-site.A) for site in chain.sites)
-    gammas = tuple(cmatrix(-link.Pminus) for link in chain.links)
-    return BAChain(k=chain.k, betas=betas, gammas=gammas, origin=chain.r0)
+    return BAChain(k=chain.k, betas=-chain.A, gammas=-chain.Pminus, origin=chain.r0)
 
 
 def reconstruct_B(
@@ -226,15 +231,15 @@ def reconstruct_B(
 
 def dn_residuals(chain: DNChain) -> list[LinkResiduals]:
     """Per-link residuals of the discrete Nahm equations."""
-    out = []
-    for i, link in enumerate(chain.links):
-        s0, s1 = chain.sites[i], chain.sites[i + 1]
-        comm_a = max_abs(link.Pminus @ s1.A - s0.A @ link.Pminus)
-        comm_d = max_abs(link.Pplus @ s0.D - s1.D @ link.Pplus)
-        b_left = max_abs(s0.B - (link.Pminus @ link.Pplus + s0.A @ s0.D))
-        b_right = max_abs(s1.B - (link.Pplus @ link.Pminus + s1.D @ s1.A))
-        out.append(LinkResiduals(link.r, comm_a, comm_d, b_left, b_right))
-    return out
+    A, B, D, pp, pm = chain.A, chain.B, chain.D, chain.Pplus, chain.Pminus
+    columns = (
+        np.abs(pm @ A[1:] - A[:-1] @ pm).max(axis=(1, 2)),
+        np.abs(pp @ D[:-1] - D[1:] @ pp).max(axis=(1, 2)),
+        np.abs(B[:-1] - (pm @ pp + A[:-1] @ D[:-1])).max(axis=(1, 2)),
+        np.abs(B[1:] - (pp @ pm + D[1:] @ A[1:])).max(axis=(1, 2)),
+    )
+    rows = zip(*(c.tolist() for c in columns))
+    return [LinkResiduals(chain.r0 + i, *row) for i, row in enumerate(rows)]
 
 
 def max_dn_residual(chain: DNChain) -> float:
@@ -243,72 +248,66 @@ def max_dn_residual(chain: DNChain) -> float:
 
 def ba_residuals(ba: BAChain) -> BAResiduals:
     """Residuals of the Braam-Austin equations."""
-    evolution = tuple(
-        max_abs(ba.betas[j] @ g - g @ ba.betas[j + 1]) for j, g in enumerate(ba.gammas)
-    )
-    metric = []
-    for j in range(1, len(ba.betas) - 1):
-        g_prev, g_next = ba.gammas[j - 1], ba.gammas[j]
-        beta = ba.betas[j]
-        metric.append(
-            max_abs(
-                dagger(g_prev) @ g_prev
-                - g_next @ dagger(g_next)
-                + dagger(beta) @ beta
-                - beta @ dagger(beta)
-            )
-        )
-    return BAResiduals(evolution=evolution, metric=tuple(metric))
+    betas, g = ba.betas, ba.gammas
+    evolution = np.abs(betas[:-1] @ g - g @ betas[1:]).max(axis=(1, 2))
+    g_prev, g_next, beta = g[:-1], g[1:], betas[1:-1]
+    metric = np.abs(
+        dagger(g_prev) @ g_prev
+        - g_next @ dagger(g_next)
+        + dagger(beta) @ beta
+        - beta @ dagger(beta)
+    ).max(axis=(1, 2))
+    return BAResiduals(evolution=tuple(evolution.tolist()), metric=tuple(metric.tolist()))
 
 
 def apply_gauge(
     chain: DNChain, gauges: Sequence[CMatrix], tol: float = linalg.RANK_TOL
 ) -> DNChain:
-    """Act by per-site invertible matrices g_r.
+    """Act by per-site invertible matrices g_r, given as a sequence or a stack.
 
     (A, B, D) transform by conjugation, P+ on link r by g_{r+1} P+ g_r^{-1}
     and P- by g_r P- g_{r+1}^{-1}. Zero residuals stay zero.
     """
-    if len(gauges) != len(chain.sites):
-        raise DimensionMismatch("need one gauge matrix per site")
-    for g in gauges:
-        linalg.require_invertible(np.asarray(g, dtype=complex), tol, SingularGauge)
-    inv = [np.linalg.inv(g) for g in gauges]
-    sites = tuple(
-        DNSite(
-            r=site.r,
-            A=cmatrix(gauges[i] @ site.A @ inv[i]),
-            B=cmatrix(gauges[i] @ site.B @ inv[i]),
-            D=cmatrix(gauges[i] @ site.D @ inv[i]),
-        )
-        for i, site in enumerate(chain.sites)
+    g = np.asarray(gauges)
+    if g.shape != chain.A.shape:
+        raise DimensionMismatch("need one k x k gauge matrix per site")
+    linalg.require_invertible(g, tol, SingularGauge)
+    inv = np.linalg.inv(g)
+    return DNChain(
+        k=chain.k,
+        A=g @ chain.A @ inv,
+        B=g @ chain.B @ inv,
+        D=g @ chain.D @ inv,
+        Pplus=g[1:] @ chain.Pplus @ inv[:-1],
+        Pminus=g[:-1] @ chain.Pminus @ inv[1:],
+        origin=chain.r0,
     )
-    links = tuple(
-        DNLink(
-            r=link.r,
-            Pplus=cmatrix(gauges[i + 1] @ link.Pplus @ inv[i]),
-            Pminus=cmatrix(gauges[i] @ link.Pminus @ inv[i + 1]),
+
+
+def identity_metric(chain: DNChain) -> np.ndarray:
+    """The identity inner product on every V_r (the Braam-Austin reality case),
+    as a read-only (n, k, k) stack."""
+    return np.broadcast_to(np.eye(chain.k, dtype=np.complex128), chain.A.shape)
+
+
+def validate_metric(metric: Sequence[CMatrix], chain: DNChain) -> np.ndarray:
+    """The metric as an (n, k, k) stack: one Hermitian positive-definite k x k
+    matrix per site of the chain."""
+    g = np.asarray(metric)
+    if g.shape != chain.A.shape:
+        raise DimensionMismatch(
+            f"need one {chain.k} x {chain.k} metric matrix per site "
+            f"({len(chain.A)} sites), got shape {g.shape}"
         )
-        for i, link in enumerate(chain.links)
-    )
-    return DNChain(k=chain.k, sites=sites, links=links)
-
-
-def identity_metric(chain: DNChain) -> MetricSequence:
-    """The identity inner product on every V_r (the Braam-Austin reality case)."""
-    return tuple(np.eye(chain.k, dtype=np.complex128) for _ in chain.sites)
-
-
-def validate_metric(metric: Sequence[CMatrix], k: int) -> None:
-    for g in metric:
-        if g.shape != (k, k):
-            raise DimensionMismatch("metric matrices must match the chain charge")
-        dev = max_abs(g - dagger(g))
-        if dev > 1e-9 * (1.0 + max_abs(g)):
-            raise NotHermitian(dev)
-        lam_min = float(np.linalg.eigvalsh((g + dagger(g)) / 2.0)[0])
-        if lam_min <= 0.0:
-            raise NotPositiveDefinite(lam_min)
+    dev = np.abs(g - dagger(g)).max(axis=(1, 2))
+    bad = np.flatnonzero(dev > 1e-9 * (1.0 + np.abs(g).max(axis=(1, 2))))
+    if bad.size:
+        raise NotHermitian(float(dev[bad[0]]))
+    lam_min = np.linalg.eigvalsh((g + dagger(g)) / 2.0)[:, 0]
+    bad = np.flatnonzero(lam_min <= 0.0)
+    if bad.size:
+        raise NotPositiveDefinite(float(lam_min[bad[0]]))
+    return g
 
 
 def reality_residual(chain: DNChain, metric: Sequence[CMatrix]) -> float:
@@ -317,14 +316,12 @@ def reality_residual(chain: DNChain, metric: Sequence[CMatrix]) -> float:
     The adjoint of X: V_a -> V_b is g_a^{-1} X* g_b. Measures
     A_r = -(D_r adjoint), B_r self-adjoint, and P+_r = -(P-_{r+1} adjoint);
     the identity metric recovers the plain Braam-Austin reality conditions.
+    The metric needs one matrix per site.
     """
-    validate_metric(metric, chain.k)
-    inv = [np.linalg.inv(g) for g in metric]
-    worst = 0.0
-    for i, site in enumerate(chain.sites):
-        worst = max(worst, max_abs(site.A + inv[i] @ dagger(site.D) @ metric[i]))
-        worst = max(worst, max_abs(site.B - inv[i] @ dagger(site.B) @ metric[i]))
-    for i, link in enumerate(chain.links):
-        adj = inv[i + 1] @ dagger(link.Pminus) @ metric[i]
-        worst = max(worst, max_abs(link.Pplus + adj))
-    return worst
+    g = validate_metric(metric, chain)
+    inv = np.linalg.inv(g)
+    return max(
+        max_abs(chain.A + inv @ dagger(chain.D) @ g),
+        max_abs(chain.B - inv @ dagger(chain.B) @ g),
+        max_abs(chain.Pplus + inv[1:] @ dagger(chain.Pminus) @ g[:-1]),
+    )

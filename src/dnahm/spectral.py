@@ -166,7 +166,7 @@ def site_surfaces(chain: DNChain) -> tuple[tuple[SpectralSurface, ...], np.ndarr
     The drift of site i is max |c_i - c_0|, its largest coefficient deviation
     from the first site's surface.
     """
-    surfaces = char_surface(*(np.stack([getattr(s, f) for s in chain.sites]) for f in "ABD"))
+    surfaces = char_surface(chain.A, chain.B, chain.D)
     c = np.stack([surf.c for surf in surfaces])
     return surfaces, np.abs(c - c[0]).max(axis=(1, 2))
 
@@ -177,14 +177,14 @@ def invariance_drift(chain: DNChain) -> float:
     Zero (to rounding) on solutions of the discrete Nahm equations: the
     surface is the conserved quantity of the evolution.
     """
-    if len(chain.sites) < 2:
+    if len(chain.A) < 2:
         raise ChainTooShort("drift needs at least two sites")
     return float(site_surfaces(chain)[1][1:].max())
 
 
 def drift_series(chain: DNChain) -> list[tuple[int, float]]:
     """Per-site drift against the first site, as (site index, deviation) rows."""
-    return list(zip((s.r for s in chain.sites), site_surfaces(chain)[1].tolist()))
+    return list(zip(range(chain.r0, chain.r1 + 1), site_surfaces(chain)[1].tolist()))
 
 
 def zeta_slice_roots(surface: SpectralSurface, eta: complex) -> np.ndarray:

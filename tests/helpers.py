@@ -3,6 +3,7 @@
 import numpy as np
 
 import dnahm
+import oracles
 
 
 def gauged_trig(p):
@@ -39,7 +40,7 @@ def replace_site(chain, index, **fields):
         B=fields.get("B", old.B),
         D=fields.get("D", old.D),
     )
-    return dnahm.DNChain(k=chain.k, sites=tuple(sites), links=chain.links)
+    return oracles.chain_from_sites(chain.k, tuple(sites), chain.links)
 
 
 def replace_link(chain, index, **fields):
@@ -50,7 +51,7 @@ def replace_link(chain, index, **fields):
         Pplus=fields.get("Pplus", old.Pplus),
         Pminus=fields.get("Pminus", old.Pminus),
     )
-    return dnahm.DNChain(k=chain.k, sites=chain.sites, links=tuple(links))
+    return oracles.chain_from_sites(chain.k, chain.sites, tuple(links))
 
 
 def bits(m):
@@ -69,4 +70,4 @@ def random_dn_chain(rng, k, n, origin=0):
         dnahm.DNLink(r=origin + i, Pplus=random_cmatrix(rng, k), Pminus=random_cmatrix(rng, k))
         for i in range(n - 1)
     )
-    return dnahm.DNChain(k=k, sites=sites, links=links)
+    return oracles.chain_from_sites(k, sites, links)

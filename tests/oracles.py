@@ -10,7 +10,11 @@ Hermite sampling at one z stand in for the library's stacked-array integrator
 and vectorised sampling. The per-entry [re, im] pair writer and reader, with
 the indented chain documents they made, stand in for the library's
 whole-array JSON fields, and the per-site surface, one scalar determinant per
-roots-of-unity node, for its stacked char_surface.
+roots-of-unity node, for its stacked char_surface. Chains built from frozen
+per-site DNSite/DNLink objects, and the per-site loops of the chain kernels
+(conversions, residuals, gauge action, reality, Ward operators, drift and
+boundary ranks), stand in for the library's (n, k, k) stacks and its
+batched whole-chain expressions.
 """
 
 import json
@@ -18,17 +22,24 @@ from pathlib import Path
 
 import numpy as np
 
+from dnahm import linalg
 from dnahm.continuum import NahmTriple
 from dnahm.errors import (
     ChainTooShort,
     DimensionMismatch,
     FormatError,
     NoConvergence,
+    NotHermitian,
+    NotPositiveDefinite,
+    NotRealityCompatible,
     RangeNotCovered,
+    SingularGamma,
+    SingularGauge,
 )
+from dnahm.fixtures import BoundaryRanks
 from dnahm.lax import WardSection, ward_minus, ward_plus
-from dnahm.linalg import cmatrix, dagger, max_abs
-from dnahm.model import DNChain
+from dnahm.linalg import cmatrix, dagger, matrix_rank, max_abs
+from dnahm.model import BAChain, BAResiduals, DNChain, DNLink, DNSite, LinkResiduals
 from dnahm.spectral import SpectralSurface, bivariate_coeffs, pencil
 
 
@@ -233,7 +244,8 @@ def matrix_from_pairs(obj, context: str = "matrix"):
         raise FormatError(f"{context}: not a nested numeric array") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise FormatError(f"{context}: expected rows x cols x [re, im], got shape {arr.shape}")
-    return cmatrix(arr[:, :, 0] + 1j * arr[:, :, 1])
+    # complex(re, im) keeps both parts' bits, -0.0 included; re + 1j*im would not
+    return cmatrix([[complex(re, im) for re, im in row] for row in arr.tolist()])
 
 
 def chain_to_document(chain, metric=None) -> dict:
@@ -285,3 +297,207 @@ def char_surface(A, B, D) -> SpectralSurface:
     c[0, k] = 1.0  # forced by the identity block
     c.setflags(write=False)
     return SpectralSurface(k=k, c=c)
+
+
+# Per-site chains: frozen DNSite/DNLink objects with explicit indices, and the
+# kernels as Python loops over them; the library stores (n, k, k) stacks and
+# evaluates each kernel as one batched expression.
+
+
+def chain_from_sites(k, sites, links) -> DNChain:
+    """A DNChain from per-site objects, after checking their shapes and indices."""
+    if not sites:
+        raise DimensionMismatch("chain needs at least one site")
+    if len(links) != len(sites) - 1:
+        raise DimensionMismatch("links count must be sites count - 1")
+    for i, site in enumerate(sites):
+        if site.r != sites[0].r + i:
+            raise DimensionMismatch("site indices must be consecutive")
+        for m in (site.A, site.B, site.D):
+            if m.shape != (k, k):
+                raise DimensionMismatch(f"site {site.r}: expected {k}x{k} data")
+    for i, link in enumerate(links):
+        if link.r != sites[i].r:
+            raise DimensionMismatch("link indices must follow site indices")
+        for m in (link.Pplus, link.Pminus):
+            if m.shape != (k, k):
+                raise DimensionMismatch(f"link {link.r}: expected {k}x{k} data")
+    return DNChain(
+        k,
+        [s.A for s in sites],
+        [s.B for s in sites],
+        [s.D for s in sites],
+        [l.Pplus for l in links],
+        [l.Pminus for l in links],
+        origin=sites[0].r,
+    )
+
+
+def from_braam_austin(ba, tol=linalg.RANK_TOL):
+    if not len(ba.gammas):
+        raise ChainTooShort("B cannot be reconstructed without at least one link")
+    for g in ba.gammas:
+        linalg.require_invertible(g, tol, SingularGamma)
+    n = len(ba.betas)
+    sites = []
+    for j, beta in enumerate(ba.betas):
+        a = cmatrix(-beta)
+        d = cmatrix(dagger(beta))
+        if j < n - 1:
+            g = ba.gammas[j]
+            b = cmatrix(-g @ dagger(g) + a @ d)
+        else:
+            g = ba.gammas[j - 1]
+            b = cmatrix(-dagger(g) @ g + d @ a)
+        sites.append(DNSite(r=ba.origin + j, A=a, B=b, D=d))
+    links = [
+        DNLink(r=ba.origin + j, Pplus=cmatrix(dagger(g)), Pminus=cmatrix(-g))
+        for j, g in enumerate(ba.gammas)
+    ]
+    return chain_from_sites(ba.k, tuple(sites), tuple(links))
+
+
+def to_braam_austin(chain, tol=1e-9):
+    deviation = 0.0
+    scale = 1.0
+    for site in chain.sites:
+        deviation = max(deviation, max_abs(site.D + dagger(site.A)))
+        scale = max(scale, max_abs(site.A), max_abs(site.D))
+    for link in chain.links:
+        deviation = max(deviation, max_abs(link.Pplus + dagger(link.Pminus)))
+        scale = max(scale, max_abs(link.Pplus), max_abs(link.Pminus))
+    if deviation > tol * scale:
+        raise NotRealityCompatible(deviation)
+    betas = tuple(cmatrix(-site.A) for site in chain.sites)
+    gammas = tuple(cmatrix(-link.Pminus) for link in chain.links)
+    return BAChain(k=chain.k, betas=betas, gammas=gammas, origin=chain.r0)
+
+
+def dn_residuals(chain):
+    out = []
+    for i, link in enumerate(chain.links):
+        s0, s1 = chain.sites[i], chain.sites[i + 1]
+        comm_a = max_abs(link.Pminus @ s1.A - s0.A @ link.Pminus)
+        comm_d = max_abs(link.Pplus @ s0.D - s1.D @ link.Pplus)
+        b_left = max_abs(s0.B - (link.Pminus @ link.Pplus + s0.A @ s0.D))
+        b_right = max_abs(s1.B - (link.Pplus @ link.Pminus + s1.D @ s1.A))
+        out.append(LinkResiduals(link.r, comm_a, comm_d, b_left, b_right))
+    return out
+
+
+def ba_residuals(ba):
+    evolution = tuple(
+        max_abs(ba.betas[j] @ g - g @ ba.betas[j + 1]) for j, g in enumerate(ba.gammas)
+    )
+    metric = []
+    for j in range(1, len(ba.betas) - 1):
+        g_prev, g_next = ba.gammas[j - 1], ba.gammas[j]
+        beta = ba.betas[j]
+        metric.append(
+            max_abs(
+                dagger(g_prev) @ g_prev
+                - g_next @ dagger(g_next)
+                + dagger(beta) @ beta
+                - beta @ dagger(beta)
+            )
+        )
+    return BAResiduals(evolution=evolution, metric=tuple(metric))
+
+
+def apply_gauge(chain, gauges, tol=linalg.RANK_TOL):
+    if len(gauges) != len(chain.sites):
+        raise DimensionMismatch("need one gauge matrix per site")
+    for g in gauges:
+        linalg.require_invertible(np.asarray(g, dtype=complex), tol, SingularGauge)
+    inv = [np.linalg.inv(g) for g in gauges]
+    sites = tuple(
+        DNSite(
+            r=site.r,
+            A=cmatrix(gauges[i] @ site.A @ inv[i]),
+            B=cmatrix(gauges[i] @ site.B @ inv[i]),
+            D=cmatrix(gauges[i] @ site.D @ inv[i]),
+        )
+        for i, site in enumerate(chain.sites)
+    )
+    links = tuple(
+        DNLink(
+            r=link.r,
+            Pplus=cmatrix(gauges[i + 1] @ link.Pplus @ inv[i]),
+            Pminus=cmatrix(gauges[i] @ link.Pminus @ inv[i + 1]),
+        )
+        for i, link in enumerate(chain.links)
+    )
+    return chain_from_sites(chain.k, sites, links)
+
+
+def identity_metric(chain):
+    return tuple(np.eye(chain.k, dtype=np.complex128) for _ in chain.sites)
+
+
+def validate_metric(metric, k):
+    for g in metric:
+        if g.shape != (k, k):
+            raise DimensionMismatch("metric matrices must match the chain charge")
+        dev = max_abs(g - dagger(g))
+        if dev > 1e-9 * (1.0 + max_abs(g)):
+            raise NotHermitian(dev)
+        lam_min = float(np.linalg.eigvalsh((g + dagger(g)) / 2.0)[0])
+        if lam_min <= 0.0:
+            raise NotPositiveDefinite(lam_min)
+
+
+def reality_residual(chain, metric):
+    validate_metric(metric, chain.k)
+    inv = [np.linalg.inv(g) for g in metric]
+    worst = 0.0
+    for i, site in enumerate(chain.sites):
+        worst = max(worst, max_abs(site.A + inv[i] @ dagger(site.D) @ metric[i]))
+        worst = max(worst, max_abs(site.B - inv[i] @ dagger(site.B) @ metric[i]))
+    for i, link in enumerate(chain.links):
+        adj = inv[i + 1] @ dagger(link.Pminus) @ metric[i]
+        worst = max(worst, max_abs(link.Pplus + adj))
+    return worst
+
+
+def ward_plus_per_site(chain, eta, f):
+    lo = max(chain.r0 + 1, f.start + 1)
+    hi = min(chain.r1, f.end)
+    if lo > hi:
+        raise ChainTooShort("no sites on which W+ is defined")
+    eye = np.eye(chain.k, dtype=np.complex128)
+    rows = []
+    for r in range(lo, hi + 1):
+        link = chain.link(r - 1)
+        site = chain.site(r)
+        rows.append(link.Pplus @ f.at(r - 1) - (eta * site.A + eye) @ f.at(r))
+    return WardSection(start=lo, values=np.array(rows))
+
+
+def ward_minus_per_site(chain, eta, zeta, f):
+    lo = max(chain.r0, f.start)
+    hi = min(chain.r1 - 1, f.end - 1)
+    if lo > hi:
+        raise ChainTooShort("no sites on which W- is defined")
+    eye = np.eye(chain.k, dtype=np.complex128)
+    rows = []
+    for r in range(lo, hi + 1):
+        link = chain.link(r)
+        site = chain.site(r)
+        rows.append(eta * link.Pminus @ f.at(r + 1) + (zeta * eye + site.D) @ f.at(r))
+    return WardSection(start=lo, values=np.array(rows))
+
+
+def drift_series(chain):
+    """Per-site (index, max |c_r - c_first|) rows from one per-site surface each."""
+    base = char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D).c
+    return [
+        (s.r, max_abs(char_surface(s.A, s.B, s.D).c - base)) for s in chain.sites
+    ]
+
+
+def boundary_rank_check(chain, tol=1e-9):
+    first, last = chain.sites[0], chain.sites[-1]
+    return BoundaryRanks(
+        left=matrix_rank(first.B - first.D @ first.A, tol),
+        right=matrix_rank(last.B - last.A @ last.D, tol),
+    )

@@ -203,7 +203,50 @@ class TestVerifyCommand:
         assert main(["verify", "--in", str(bad), "--report", str(tmp_path / "r.json")]) == 2
 
 
+def typed_exit_2(argv, capsys, error):
+    """Run argv; it must exit 2 with one JSON line on stderr naming ``error``."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == error
+    return doc["message"]
+
+
+class TestVerifyMetricErrors:
+    @pytest.mark.parametrize("metric, error, named", [
+        ([[[1.0, 0.5], [0.0, 1.0]]] * 4, "NotHermitian", "not Hermitian"),
+        ([[[1.0, 0.0], [0.0, -1.0]]] * 4, "NotPositiveDefinite", "lambda_min = -1"),
+        ([np.eye(3)] * 4, "DimensionMismatch", "(4, 3, 3)"),
+        ([np.eye(2)] * 3, "DimensionMismatch", "(3, 2, 2)"),
+        ([np.eye(2)] * 5, "DimensionMismatch", "(5, 2, 2)"),
+    ], ids=["not-hermitian", "not-positive", "wrong-k", "too-few", "too-many"])
+    def test_bad_metric_is_typed_exit_2(self, metric, error, named, tmp_path, capsys):
+        chain_path, metric_path = tmp_path / "trig.json", tmp_path / "metric.json"
+        main(["example", "--p", "2", "--out", str(chain_path)])  # 4 sites, k = 2
+        metric = np.array(metric, dtype=complex)
+        dio.save_json(metric_path, dio.metric_to_document(metric, metric.shape[-1]))
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        message = typed_exit_2(["verify", "--in", str(chain_path), "--metric", str(metric_path),
+                                "--report", str(report)], capsys, error)
+        assert named in message
+        assert not report.exists()
+
+
 class TestSpectralCommand:
+    def test_lost_normalization_is_typed_exit_2(self, tmp_path, capsys):
+        # |A| = 1e8 swamps the identity block that fixes c[0][k] = 1
+        ones, zeros = np.ones((2, 2, 2)), np.zeros((2, 2, 2))
+        chain = dnahm.DNChain(2, 1e8 * ones, zeros, zeros, zeros[:1], zeros[:1])
+        chain_path, out = tmp_path / "big.json", tmp_path / "surface.json"
+        dio.save_json(chain_path, dio.chain_to_document(chain))
+        message = typed_exit_2(["spectral", "--in", str(chain_path), "--out", str(out)],
+                               capsys, "NoConvergence")
+        assert "identity-block normalization at stacked site 0" in message
+        assert not out.exists()
+
     def test_trig_surface_value(self, tmp_path):
         chain_path = tmp_path / "trig.json"
         main(["example", "--p", "1", "--out", str(chain_path)])

@@ -147,6 +147,22 @@ class TestMalformedDocuments:
         assert not out.exists()
 
 
+class TestSignedZeros:
+    def test_pairs_read_back_bit_for_bit(self, tmp_path):
+        pairs = [[-0.0, 0.0], [1.0, -0.0], [-0.0, -0.0]]
+        doc = {"format_version": "1", "k": 1, "form": "ba", "origin": 0,
+               "betas": [[[p]] for p in pairs], "gammas": [[[[2.0, 0.0]]]] * 2}
+        path = tmp_path / "zeros.json"
+        dio.save_json(path, doc)
+        chain, _ = dio.document_to_chain(dio.load_json(path))
+        want = np.array(pairs).view(complex).reshape(3, 1, 1)
+        assert np.array_equal(helpers.bits(chain.betas), helpers.bits(want))
+        dio.save_json(tmp_path / "again.json", dio.chain_to_document(chain))
+        assert (tmp_path / "again.json").read_text() == path.read_text()
+        row = dio.matrix_from_pairs([pairs])
+        assert np.array_equal(helpers.bits(row), helpers.bits(want.reshape(1, 3)))
+
+
 SCALES = st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300])
 
 

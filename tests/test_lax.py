@@ -20,7 +20,7 @@ def ones_scalar_chain(n=5):
         dnahm.DNLink(r=r, Pplus=dnahm.cmatrix([[1.0]]), Pminus=dnahm.cmatrix([[1.0]]))
         for r in range(n - 1)
     )
-    return dnahm.DNChain(k=1, sites=sites, links=links)
+    return oracles.chain_from_sites(1, sites, links)
 
 
 def random_dn_chain(rng, k, n, origin=0):
@@ -40,7 +40,7 @@ def random_dn_chain(rng, k, n, origin=0):
         )
         for i in range(n - 1)
     )
-    return dnahm.DNChain(k=k, sites=sites, links=links)
+    return oracles.chain_from_sites(k, sites, links)
 
 
 def section_from(chain, vectors):

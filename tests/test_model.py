@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dnahm
-from dnahm.errors import NotRealityCompatible, SingularGamma
+from dnahm.errors import DimensionMismatch, NotRealityCompatible, SingularGamma
 
 import helpers
+import oracles
 
 
 def scalar_ba(beta, gamma, n=3):
@@ -197,3 +198,111 @@ class TestRealityResidual:
     def test_trig_identity_metric_fails(self):
         chain, _ = dnahm.trig_solution(1)
         assert dnahm.reality_residual(chain, dnahm.identity_metric(chain)) > 0.1
+
+
+def same_bits(x, y):
+    return np.array_equal(helpers.bits(x), helpers.bits(y))
+
+
+def same_chain(x, y):
+    fields = ("A", "B", "D", "Pplus", "Pminus")
+    if isinstance(x, dnahm.BAChain):
+        fields = ("betas", "gammas")
+    return x.origin == y.origin and all(same_bits(getattr(x, f), getattr(y, f)) for f in fields)
+
+
+def random_ba(rng, k, n):
+    # gammas near 2 I keep the invertibility check passing; no equation holds
+    return dnahm.BAChain(
+        k=k,
+        betas=[helpers.random_cmatrix(rng, k) for _ in range(n)],
+        gammas=[2 * np.eye(k) + helpers.random_cmatrix(rng, k, 0.3) for _ in range(n - 1)],
+        origin=int(rng.integers(-5, 5)),
+    )
+
+
+class TestStackedKernelsMatchPerSite:
+    """Each batched whole-chain kernel gives the per-site loop's doubles, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_conversions_and_residuals(self, k):
+        rng = np.random.default_rng(40 + k)
+        evolved, bk = helpers.evolved_chain(k, seed=k, steps=12)
+        assert bk is None
+        for ba in (random_ba(rng, k, 7), evolved):
+            dn = dnahm.from_braam_austin(ba)
+            assert same_chain(dn, oracles.from_braam_austin(ba))
+            assert same_chain(dnahm.to_braam_austin(dn), oracles.to_braam_austin(dn))
+            assert dnahm.ba_residuals(ba) == oracles.ba_residuals(ba)
+            assert dnahm.dn_residuals(dn) == oracles.dn_residuals(dn)
+        for n in (1, 2, 6):
+            dn = helpers.random_dn_chain(rng, k, n, origin=-2)
+            assert dnahm.dn_residuals(dn) == oracles.dn_residuals(dn)
+            assert dnahm.boundary_rank_check(dn) == oracles.boundary_rank_check(dn)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_gauge_and_reality(self, k):
+        rng = np.random.default_rng(50 + k)
+        dn = helpers.random_dn_chain(rng, k, 6, origin=4)
+        complex_gauges = [np.eye(k) + helpers.random_cmatrix(rng, k, 0.3) for _ in range(6)]
+        real_gauges = [np.eye(k) + 0.3 * rng.standard_normal((k, k)) for _ in range(6)]
+        for gauges in (complex_gauges, real_gauges):
+            assert same_chain(dnahm.apply_gauge(dn, gauges), oracles.apply_gauge(dn, gauges))
+        metric = [dnahm.cmatrix(oracles.random_hpd(rng, k)) for _ in range(6)]
+        assert same_bits(dnahm.reality_residual(dn, metric), oracles.reality_residual(dn, metric))
+        identity = dnahm.identity_metric(dn)
+        assert same_bits(identity, np.array(oracles.identity_metric(dn)))
+        assert same_bits(dnahm.reality_residual(dn, identity),
+                         oracles.reality_residual(dn, oracles.identity_metric(dn)))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_ward_operators_and_drift(self, k):
+        rng = np.random.default_rng(60 + k)
+        dn = helpers.random_dn_chain(rng, k, 7, origin=1)
+        eta, zeta = 0.7 - 0.2j, -1.1 + 0.4j
+        block = dnahm.basis_sections(dn)
+        single = dnahm.WardSection(start=2, values=rng.standard_normal((5, k)) + 1j)
+        for f in (block, single):
+            for got, want in (
+                (dnahm.ward_plus(dn, eta, f), oracles.ward_plus_per_site(dn, eta, f)),
+                (dnahm.ward_minus(dn, eta, zeta, f),
+                 oracles.ward_minus_per_site(dn, eta, zeta, f)),
+            ):
+                assert got.start == want.start and same_bits(got.values, want.values)
+        assert dnahm.drift_series(dn) == oracles.drift_series(dn)
+
+
+class TestChainStorage:
+    def test_stacks_are_read_only_copies(self):
+        a = np.zeros((2, 1, 1))
+        chain = dnahm.DNChain(1, a, a, a, np.ones((1, 1, 1)), np.ones((1, 1, 1)), origin=3)
+        a[0, 0, 0] = 5.0
+        assert chain.A[0, 0, 0] == 0 and chain.A.dtype == np.complex128
+        assert not chain.A.flags.writeable and not chain.site(3).A.flags.writeable
+        assert (chain.r0, chain.r1) == (3, 4)
+        assert [s.r for s in chain.sites] == [3, 4] and [l.r for l in chain.links] == [3]
+
+    def test_shape_checks(self):
+        ones = np.ones((3, 2, 2))
+        with pytest.raises(DimensionMismatch):
+            dnahm.DNChain(2, ones, ones, ones, ones, ones)  # links count
+        with pytest.raises(DimensionMismatch):
+            dnahm.DNChain(2, [], [], [], [], [])
+        with pytest.raises(DimensionMismatch):
+            dnahm.BAChain(k=3, betas=ones, gammas=ones[:2])
+        with pytest.raises(DimensionMismatch):
+            dnahm.BAChain(k=2, betas=ones, gammas=ones[:1])
+        with pytest.raises(DimensionMismatch):
+            dnahm.BAChain(k=2, betas=[np.eye(2), np.eye(3)], gammas=[np.eye(2)])
+        one_site = dnahm.BAChain(k=2, betas=ones[:1], gammas=())
+        assert one_site.gammas.shape == (0, 2, 2)
+
+    def test_site_and_link_refuse_indices_outside_the_chain(self):
+        chain, _ = dnahm.trig_solution(3)  # sites 1..6, links 1..5
+        assert chain.site(1).r == 1 and chain.site(6).r == 6 and chain.link(5).r == 5
+        for r in (0, 7, -1):
+            with pytest.raises(IndexError, match=rf"site {r} outside \[1, 6\]"):
+                chain.site(r)
+        for r in (0, 6, -5):
+            with pytest.raises(IndexError, match=rf"link {r} outside \[1, 5\]"):
+                chain.link(r)
