@@ -7,6 +7,18 @@ gamma is Hermitian positive-definite, the self-adjoint gauge), and the
 evolution equation then gives beta_{i+2} = gamma_{i+1}^{-1} beta_i gamma_{i+1}.
 If H fails to be positive-definite the evolution cannot be continued; that
 is a breakdown, not an error.
+
+Breakdown is lambda_min(H) <= tol * ||H||_max (max-abs entry). The default,
+BREAKDOWN_TOL = 6e-8, comes from the stated long-chain accuracy: evolving
+the closed-form charge-2 chain from its first link reproduces each gamma to
+delta = 1e-8 (p <= 590). At its rank-1 boundary lambda_min is exactly 0, and
+entry errors of at most delta in gamma and beta move it, to first order, by
+at most ||dH||_2 <= 2k (||gamma||_2 + 2 ||beta||_2) delta = 5.3e-8 ||H||_max
+(p >= 50), rounded up to 6e-8; interior steps keep lambda_min >= 0.33 ||H||_max.
+Per-step rounding does not explain the boundary value: at p = 200 it is
+-1.9e-9 or +1.9e-10 by how the seed was gauged, and a 60-digit run of the
+recurrence from the same seed agrees, so its spread is the problem's
+conditioning of the seed's rounding.
 """
 
 from __future__ import annotations
@@ -18,11 +30,11 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import NotRealityCompatible, SingularGamma
+from .errors import NotPositiveDefinite, NotRealityCompatible, SingularGamma
 from .linalg import CMatrix, cmatrix, dagger, max_abs
 from .model import BAChain
 
-BREAKDOWN_TOL = 1e-10  # lambda_min <= tol * ||H||_max counts as breakdown
+BREAKDOWN_TOL = 6e-8  # lambda_min <= tol * ||H||_max counts as breakdown
 
 
 class StepStatus(Enum):
@@ -52,10 +64,13 @@ def _sqrt_step(h: CMatrix, tol: float) -> tuple[StepStatus, float, Optional[CMat
     lam_min = float(np.linalg.eigvalsh(hs)[0])
     if lam_min <= tol * max_abs(hs):
         return StepStatus.BREAKDOWN, lam_min, None
-    # the rule above alone decides breakdown: hs is exactly Hermitian and, for
-    # tol >= 0, lam_min > 0, so positive_sqrt's checks pass at tol = 0 (its own
-    # floor, tol * (1 + |H|), would stop positive chains of small scale)
-    return StepStatus.ADVANCED, lam_min, linalg.positive_sqrt(hs, tol=0.0)
+    # hs is exactly Hermitian, so positive_sqrt runs at tol = 0 (its floor,
+    # tol * (1 + |H|), would stop positive chains of small scale); its eigh can
+    # put a lam_min within rounding of 0 at 0 or below, if tol < ~eps lets it by
+    try:
+        return StepStatus.ADVANCED, lam_min, linalg.positive_sqrt(hs, tol=0.0)
+    except NotPositiveDefinite as exc:
+        return StepStatus.BREAKDOWN, exc.lambda_min, None
 
 
 def step_forward(gamma_prev: CMatrix, beta_cur: CMatrix, tol: float = BREAKDOWN_TOL) -> StepOutcome:
@@ -102,6 +117,8 @@ def evolve(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     gamma0, beta0 = cmatrix(seed[0]), cmatrix(seed[1])
     linalg.require_invertible(gamma0, error=SingularGamma)
     k = gamma0.shape[0]

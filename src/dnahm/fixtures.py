@@ -117,8 +117,8 @@ def random_reality_seed(
 
     beta has entries uniform in the complex disc of radius spread; gamma is
     the identity plus a small Hermitian positive perturbation scaled by
-    spread, so spread = 0 gives exactly (I, 0). If the first forward step
-    matrix fails positivity the spread is shrunk and the draw retried.
+    spread, so spread = 0 gives exactly (I, 0). If the first forward step breaks
+    down, the spread is shrunk and the draw retried.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -129,13 +129,11 @@ def random_reality_seed(
         angle = rng.uniform(0.0, 2.0 * np.pi, size=(k, k))
         beta = radius * np.exp(1j * angle)
         x = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0 * k)
-        gamma = np.eye(k) + current * (x @ dagger(x))
+        gamma = cmatrix(np.eye(k) + current * (x @ dagger(x)))
         # the first forward step conjugates beta across the seed link
-        beta1 = np.linalg.inv(gamma) @ beta @ gamma
-        h = dagger(gamma) @ gamma + dagger(beta1) @ beta1 - beta1 @ dagger(beta1)
-        lam_min = float(np.linalg.eigvalsh((h + dagger(h)) / 2.0)[0])
-        if lam_min > evolution.BREAKDOWN_TOL * max(1.0, float(np.abs(h).max())):
-            return cmatrix(gamma), cmatrix(beta)
+        beta1 = cmatrix(np.linalg.inv(gamma) @ beta @ gamma)
+        if evolution.step_forward(gamma, beta1).status is evolution.StepStatus.ADVANCED:
+            return gamma, cmatrix(beta)
         current *= 0.7
     raise SeedExhausted(f"no positive seed after 100 retries (k={k}, seed={seed})")
 

@@ -1,10 +1,10 @@
 """Dense complex matrix kernel used by every other module.
 
-Matrices are plain 2-D complex128 numpy arrays; ``cmatrix`` validates and
-freezes one. Sizes are small (the charge k is typically 2..10), so the
-routines favour robustness and clear error reporting over speed. All
-tolerances are relative to matrix magnitude: 1e-9 for rank decisions,
-1e-12 for symmetry checks, overridable per call.
+Matrices are plain complex128 numpy arrays, one matrix or an (n, k, k)
+stack; ``cmatrix`` validates and freezes one. Sizes are small (the charge k
+is typically 2..10). Positive square roots come from one Hermitian
+eigendecomposition. All tolerances are relative to matrix magnitude: 1e-9
+for rank decisions, 1e-12 for symmetry checks, overridable per call.
 """
 
 from __future__ import annotations
@@ -86,38 +86,14 @@ def hermitian_eig(h: CMatrix, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, CM
 def positive_sqrt(h: CMatrix, tol: float = SYMMETRY_TOL) -> CMatrix:
     """Positive square root of a Hermitian positive-definite matrix.
 
-    Computed by the scaled Denman-Beavers iteration, which keeps the
-    eigendecomposition reconstruction available as an independent
-    cross-check. Raises NotPositiveDefinite (carrying lambda_min) when the
-    smallest eigenvalue is below tol relative to the matrix magnitude;
-    during evolution that is the breakdown signal.
+    One eigendecomposition h = U diag(lambda) U* gives U diag(sqrt(lambda)) U*.
+    Raises NotPositiveDefinite (carrying lambda_min) when the smallest
+    eigenvalue is at or below tol relative to the matrix magnitude, 1 + |h|.
     """
-    hs = _hermitian_part(h, tol)
-    k = hs.shape[0]
-    scale = 1.0 + max_abs(hs)
-    lam_min = float(np.linalg.eigvalsh(hs)[0])
-    if lam_min <= tol * scale:
-        raise NotPositiveDefinite(lam_min)
-
-    y = hs.copy()
-    z = np.eye(k, dtype=np.complex128)
-    converged = False
-    for _ in range(60):
-        mu = abs(np.linalg.det(y) * np.linalg.det(z)) ** (-1.0 / (2 * k))
-        if not np.isfinite(mu) or mu <= 0.0:
-            mu = 1.0
-        y, z = mu * y, mu * z
-        y_next = 0.5 * (y + np.linalg.inv(z))
-        z_next = 0.5 * (z + np.linalg.inv(y))
-        step = max_abs(y_next - y)
-        y, z = y_next, z_next
-        if step <= 1e-14 * (1.0 + max_abs(y)):
-            converged = True
-            break
-    root = (y + dagger(y)) / 2.0
-    if not converged and max_abs(root @ root - hs) > 1e-11 * scale:
-        raise NoConvergence("matrix square root iteration did not converge")
-    return root
+    lam, u = hermitian_eig(h, tol)
+    if lam[0] <= tol * (1.0 + max_abs(h)):
+        raise NotPositiveDefinite(float(lam[0]))
+    return (u * np.sqrt(lam)) @ dagger(u)
 
 
 def require_invertible(

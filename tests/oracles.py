@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: bivariate determinants
 by recursive cofactor expansion over explicit coefficient grids, matrix
-square roots by eigendecomposition, derivatives by finite differences. The
+square roots by the Denman-Beavers iteration, derivatives by finite
+differences, and the charge-2 evolution recurrence at 60 digits. The
 Lax checks on the full n*k delta basis of sections share the library's Ward
 operators and stand in for its 3-colour probe block only. The RK4 Nahm
 flow integrated node by node, one validated triple per node, and its cubic
@@ -20,6 +21,7 @@ batched whole-chain expressions.
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from dnahm import linalg
@@ -93,10 +95,65 @@ def char_surface_brute(A, B, D):
     return out
 
 
-def sqrt_by_eig(h):
-    """Positive square root via eigendecomposition (the reconstruction oracle)."""
-    lam, u = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return u @ np.diag(np.sqrt(lam)) @ u.conj().T
+def sqrt_by_denman_beavers(h):
+    """Positive square root by the scaled Denman-Beavers iteration, the
+    library's eigendecomposition root's independent cross-check. Stalls into
+    NoConvergence on well-posed matrices from cond ~ 1e9 on."""
+    tol = linalg.SYMMETRY_TOL
+    hs = linalg._hermitian_part(h, tol)
+    k = hs.shape[0]
+    scale = 1.0 + max_abs(hs)
+    lam_min = float(np.linalg.eigvalsh(hs)[0])
+    if lam_min <= tol * scale:
+        raise NotPositiveDefinite(lam_min)
+
+    y = hs.copy()
+    z = np.eye(k, dtype=np.complex128)
+    converged = False
+    for _ in range(60):
+        mu = abs(np.linalg.det(y) * np.linalg.det(z)) ** (-1.0 / (2 * k))
+        if not np.isfinite(mu) or mu <= 0.0:
+            mu = 1.0
+        y, z = mu * y, mu * z
+        y_next = 0.5 * (y + np.linalg.inv(z))
+        z_next = 0.5 * (z + np.linalg.inv(y))
+        step = max_abs(y_next - y)
+        y, z = y_next, z_next
+        if step <= 1e-14 * (1.0 + max_abs(y)):
+            converged = True
+            break
+    root = (y + dagger(y)) / 2.0
+    if not converged and max_abs(root @ root - hs) > 1e-11 * scale:
+        raise NoConvergence("matrix square root iteration did not converge")
+    return root
+
+
+def step_spectrum_mp(gamma0, beta0, n_links, dps=60):
+    """The charge-2 forward recurrence of evolution.evolve, run in mpmath at
+    dps digits from a double-precision seed (gamma0, beta0).
+
+    Each step's H = gamma* gamma + [beta*, beta] has the closed-form root
+    (H + sqrt(det H) I) / sqrt(tr H + 2 sqrt(det H)). Returns one
+    (lambda_min(H), max-abs entry of H) float pair per step, up to n_links
+    steps or the first step whose lambda_min is <= 0.
+    """
+    with mpmath.workdps(dps):
+        gamma = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in gamma0])
+        beta = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in beta0])
+        beta = mpmath.inverse(gamma) * beta * gamma
+        steps = []
+        for _ in range(n_links):
+            h = gamma.H * gamma + beta.H * beta - beta * beta.H
+            a, d, b = mpmath.re(h[0, 0]), mpmath.re(h[1, 1]), h[0, 1]
+            lam_min = (a + d) / 2 - mpmath.sqrt((a - d) ** 2 / 4 + abs(b) ** 2)
+            steps.append((float(lam_min), float(max(abs(a), abs(d), abs(b)))))
+            if lam_min <= 0:
+                break
+            root_det = mpmath.sqrt(a * d - abs(b) ** 2)
+            h = mpmath.matrix([[a + root_det, b], [mpmath.conj(b), d + root_det]])
+            gamma = h / mpmath.sqrt(a + d + 2 * root_det)
+            beta = mpmath.inverse(gamma) * beta * gamma
+        return steps
 
 
 def quadratic_roots(a, b, c):

@@ -219,7 +219,7 @@ def test_criterion_7_oracle_equivalence():
     for _ in range(30):
         k = int(rng.integers(2, 6))
         h = dnahm.cmatrix(oracles.random_hpd(rng, k))
-        dev = dnahm.max_abs(dnahm.positive_sqrt(h) - oracles.sqrt_by_eig(np.asarray(h)))
+        dev = dnahm.max_abs(dnahm.positive_sqrt(h) - oracles.sqrt_by_denman_beavers(h))
         assert dev < 1e-10 * (1.0 + dnahm.max_abs(h))
         worst_sqrt = max(worst_sqrt, dev)
     for _ in range(100):
@@ -236,7 +236,7 @@ def test_criterion_7_oracle_equivalence():
         assert base == left == right == k - rank
     print(
         f"criterion 7 PASS: surface vs cofactor oracle {worst_surface:.2e} (1e-12), "
-        f"sqrt vs eigen oracle {worst_sqrt:.2e} (1e-10), nullity unitary-invariant over 100 trials"
+        f"sqrt vs Denman-Beavers oracle {worst_sqrt:.2e} (1e-10), nullity unitary-invariant over 100 trials"
     )
 
 

@@ -343,6 +343,38 @@ class TestContinuumCommand:
         assert float(lines[1].split(",")[1]) < 1e-14
 
 
+class TestToleranceFlag:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_non_finite_or_negative_tol_is_a_usage_error(self, command, value, tmp_path, capsys):
+        # a chain that fails verification at any finite tolerance; every
+        # comparison with a NaN one is false, which would report "passed": true
+        chain, _ = dnahm.trig_solution(5)
+        bad = helpers.replace_site(
+            chain, 3, B=helpers.perturb_entry(chain.sites[3].B, 0, 0, 1e-3)
+        )
+        chain_path = tmp_path / "bad.json"
+        dio.save_json(chain_path, dio.chain_to_document(bad))
+        out = tmp_path / "out.json"
+        flags = {"evolve": ["--steps", "5", "--out"], "verify": ["--report"]}[command]
+        code = main([command, "--in", str(chain_path), *flags, str(out), "--tol", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "UsageError" and "--tol" in diag["message"]
+        assert not out.exists()
+
+    def test_zero_tol_is_accepted(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["evolve", "--random-k", "2", "--seed", "1", "--spread", "0.05",
+                     "--steps", "5", "--tol", "0", "--out", str(out)]) == 0
+        assert main(["verify", "--in", str(out), "--report", str(tmp_path / "r.json"),
+                     "--tol", "0"]) == 1
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

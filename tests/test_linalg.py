@@ -8,6 +8,7 @@ import dnahm
 from dnahm.errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
+    NoConvergence,
     NotHermitian,
     NotPositiveDefinite,
     Singular,
@@ -77,11 +78,26 @@ class TestPositiveSqrt:
     def test_identity(self):
         assert_allclose(dnahm.positive_sqrt(dnahm.cmatrix(np.eye(3))), np.eye(3), atol=1e-13)
 
-    def test_against_eigendecomposition_oracle(self):
+    def test_against_denman_beavers_oracle(self):
         h = dnahm.cmatrix([[2.0, 1.0], [1.0, 2.0]])
         root = dnahm.positive_sqrt(h)
         assert dnahm.max_abs(root @ root - h) <= 1e-11 * (1 + dnahm.max_abs(h))
-        assert_allclose(root, oracles.sqrt_by_eig(np.asarray(h)), atol=1e-10)
+        assert_allclose(root, oracles.sqrt_by_denman_beavers(h), atol=1e-10)
+
+    def test_spread_spectrum_where_denman_beavers_stalls(self):
+        # cond(h) = 1e9: the iteration's relative step settles at 7e-14, above
+        # its 1e-14 stop, so it gives up; one eigendecomposition does not
+        rng = np.random.default_rng(5)
+        u = oracles.random_unitary(rng, 6)
+        s = np.exp(rng.uniform(np.log(1e-9), 0.0, 6))
+        s[0], s[1] = 1.0, 1e-9
+        h = dnahm.cmatrix((u * s) @ u.conj().T)
+        with pytest.raises(NoConvergence):
+            oracles.sqrt_by_denman_beavers(h)
+        root = dnahm.positive_sqrt(h)
+        assert dnahm.max_abs(root - root.conj().T) <= 1e-15
+        assert np.linalg.eigvalsh(root)[0] > 0
+        assert dnahm.max_abs(root @ root - h) <= 1e-14 * (1 + dnahm.max_abs(h))
 
     def test_random_hpd_reconstructs(self):
         rng = np.random.default_rng(1)
