@@ -178,10 +178,7 @@ def cmd_verify(args) -> int:
         }
         if max(comm) > tol:
             failures.append("lax_commutator")
-        fact = max(
-            lax.m_factorization_residual(chain, r, _LAX_ETAS[0], _LAX_ZETAS[0])
-            for r in range(chain.r0 + 1, chain.r1)
-        )
+        fact = float(lax.m_factorization_residual(chain, _LAX_ETAS[0], _LAX_ZETAS[0]).max())
         checks["m_factorization"] = {"max": fact}
         if fact > tol:
             failures.append("m_factorization")
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="run the discrete-time evolution from a seed")
     p.add_argument("--in", dest="infile", default=None, help="chain/seed document (ba or dn form)")
     p.add_argument("--random-k", type=_positive_int, default=None, help="generate a random seed of this charge")
-    p.add_argument("--seed", type=int, default=0, help="rng seed for --random-k")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="rng seed for --random-k")
     p.add_argument("--spread", type=float, default=0.3, help="amplitude for --random-k")
     p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--backward", action="store_true")
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--h", required=True, help="comma-separated decreasing spacings")
     p.add_argument("--steps", type=_positive_int, default=2000, help="integrator steps")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_continuum)
 

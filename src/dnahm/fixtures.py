@@ -41,7 +41,7 @@ class TrigParams:
 
 def trig_params(p: float) -> TrigParams:
     two_p = 2.0 * p
-    n = round(two_p)
+    n = round(two_p) if math.isfinite(two_p) else 0
     if p <= 0 or abs(two_p - n) > 1e-12 or n < 1:
         raise InvalidMass(f"2p must be a positive integer, got p = {p}")
     return TrigParams(p=p, phi=math.pi / (2.0 * p + 2.0), site_range=range(1, n + 1))

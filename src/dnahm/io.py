@@ -56,6 +56,18 @@ def _list_field(doc: dict, field: str) -> list:
     return doc[field]
 
 
+def _int_field(doc: dict, field: str, default: Optional[int] = None) -> int:
+    """A field holding a JSON integer (a bool is not one); ``default`` when absent."""
+    if field not in doc:
+        if default is None:
+            raise FormatError(f"document missing field '{field}'")
+        return default
+    value = doc[field]
+    if type(value) is not int:
+        raise FormatError(f"'{field}' must be an integer, got {type(value).__name__}")
+    return value
+
+
 def _matrices(items: list, k: int, label: str) -> np.ndarray:
     """A read-only (n, k, k) complex128 stack parsed from n [re, im] matrices.
 
@@ -131,11 +143,8 @@ def document_to_chain(doc: dict) -> tuple[Chain, Optional[np.ndarray]]:
     if not isinstance(doc, dict):
         raise FormatError("chain document must be a JSON object")
     form = doc.get("form")
-    try:
-        k = int(doc["k"])
-        origin = int(doc.get("origin", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("chain document needs integer 'k' (and optional 'origin')") from exc
+    k = _int_field(doc, "k")
+    origin = _int_field(doc, "origin", 0)
     if k < 1:
         raise FormatError(f"chain document needs k >= 1, got {k}")
     metric = None
@@ -181,8 +190,8 @@ def metric_from_document(doc: dict) -> np.ndarray:
         raise FormatError("metric document must be a JSON object")
     items = _list_field(doc, "metric")
     try:
-        k = int(doc["k"]) if "k" in doc else len(items[0]) if items else 1
-    except (TypeError, ValueError) as exc:
+        k = _int_field(doc, "k") if "k" in doc else len(items[0]) if items else 1
+    except TypeError as exc:
         raise FormatError(f"metric document: no matrix size k ({exc})") from exc
     return _matrices(items, k, "metric[{}]")
 

@@ -10,14 +10,15 @@ and the zero-order operator M(eta, zeta) factorizes through them. W+ is
 undefined at the left-most site and W- at the right-most, so all operator
 identities are asserted on interior sites only.
 
-Both identities are checked on a probe block rather than on the n*k delta
-basis. W+ and W- couple only neighbouring sites, so every entry of a
-product of two of them at site r reads sections at r - 1, r and r + 1
-only. Those three sites differ mod 3, so summing the unit vectors of all
-sites of one colour (index mod 3) into one column loses nothing: each
-entry of the probed result is exactly one entry of the delta-basis result,
-and the delta-basis entries it omits are exact zeros. The checks then cost
-O(n k^3) time and O(n k^2) memory.
+Both identities are checked once over the whole chain, on a probe block
+rather than on the n*k delta basis. W+ and W- couple only neighbouring
+sites, so every entry of a product of two of them at site r, and of M at
+r, reads sections at r - 1, r and r + 1 only. Those three sites differ
+mod 3, so summing the unit vectors of all sites of one colour (index
+mod 3) into one column loses nothing: each entry of the probed result is
+exactly one entry of the delta-basis result, and the delta-basis entries
+it omits are exact zeros. The checks then cost O(n k^3) time and
+O(n k^2) memory.
 """
 
 from __future__ import annotations
@@ -52,23 +53,19 @@ class WardSection:
         return self.values[r - self.start]
 
 
-def basis_sections(chain: DNChain, sites: range | None = None) -> WardSection:
-    """The 3-colour probe block on consecutive ``sites`` (default: the whole chain).
+def basis_sections(chain: DNChain) -> WardSection:
+    """The whole-chain 3-colour probe block.
 
-    For m sites the block has min(m, 3)*k columns: column c*k + j holds the
-    unit vector e_j at every site s with (s - sites.start) mod 3 == c. For
-    m <= 3 this is the full delta basis of those sites.
+    For n sites the block has min(n, 3)*k columns: column c*k + j holds the
+    unit vector e_j at every site s with (s - r0) mod 3 == c. For n <= 3
+    this is the full delta basis.
     """
-    if sites is None:
-        sites = range(chain.r0, chain.r1 + 1)
-    if sites.step != 1 or not sites or sites[0] < chain.r0 or sites[-1] > chain.r1:
-        raise ValueError(f"sites must be a consecutive range within [{chain.r0}, {chain.r1}]")
-    m, k = len(sites), chain.k
-    colours = min(m, 3)
-    values = np.zeros((m, k, colours, k), dtype=np.complex128)
-    index = np.arange(m)
+    n, k = len(chain.A), chain.k
+    colours = min(n, 3)
+    values = np.zeros((n, k, colours, k), dtype=np.complex128)
+    index = np.arange(n)
     values[index, :, index % 3, :] = np.eye(k)
-    return WardSection(start=sites.start, values=values.reshape(m, k, colours * k))
+    return WardSection(start=chain.r0, values=values.reshape(n, k, colours * k))
 
 
 def ward_plus(chain: DNChain, eta: complex, f: WardSection) -> WardSection:
@@ -121,37 +118,30 @@ def commutator_residual(chain: DNChain, eta: complex, zeta: complex) -> float:
     return max_abs(pm.values - mp.values)
 
 
-def m_factorization_residual(
-    chain: DNChain,
-    r: int,
-    eta: complex,
-    zeta: complex,
-    reverse_order: bool = False,
-) -> float:
-    """Deviation of M from eta P- W+ + P+ W- - W+ W- at interior site r.
+def m_factorization_residual(chain: DNChain, eta: complex, zeta: complex) -> np.ndarray:
+    """Deviation of M from eta P- W+ + P+ W- - W+ W- at each interior site.
 
     Composite operators read through the links: (P- g)_r = P-_{r+1} g_{r+1}
-    and (P+ g)_r = P+_{r-1} g_{r-1}. With reverse_order the commuted product
-    W- W+ replaces W+ W-; on solutions both orderings agree.
+    and (P+ g)_r = P+_{r-1} g_{r-1}. Evaluated on the whole-chain probe
+    block of ``basis_sections``; entry i of the returned (n - 2,) array is
+    the max-abs residual at site r0 + 1 + i. The commuted product W- W+
+    differs from W+ W- by the commutator, which ``commutator_residual``
+    measures.
     """
-    if not (chain.r0 < r < chain.r1):
-        raise ChainTooShort(f"site {r} is not interior to [{chain.r0}, {chain.r1}]")
-    # the identity at r reads sections only at r - 1, r and r + 1
-    f = basis_sections(chain, range(r - 1, r + 2))
-    site = chain.site(r)
-
-    wplus_f = ward_plus(chain, eta, f)
-    wminus_f = ward_minus(chain, eta, zeta, f)
-    term_pm_wp = eta * chain.link(r).Pminus @ wplus_f.at(r + 1)
-    term_pp_wm = chain.link(r - 1).Pplus @ wminus_f.at(r - 1)
-    if reverse_order:
-        product = ward_minus(chain, eta, zeta, wplus_f).at(r)
-    else:
-        product = ward_plus(chain, eta, wminus_f).at(r)
-    rhs = term_pm_wp + term_pp_wm - product
-
-    lhs = pencil(site.A, site.B, site.D)(eta, zeta) @ f.at(r)
-    return max_abs(lhs - rhs)
+    if len(chain.A) < 3:
+        raise ChainTooShort("factorization needs at least three sites")
+    f = basis_sections(chain)
+    wplus_f = ward_plus(chain, eta, f)  # sites r0 + 1 .. r1
+    wminus_f = ward_minus(chain, eta, zeta, f)  # sites r0 .. r1 - 1
+    product = ward_plus(chain, eta, wminus_f)  # the interior sites
+    rhs = (
+        eta * chain.Pminus[1:] @ wplus_f.values[1:]
+        + chain.Pplus[:-1] @ wminus_f.values[:-1]
+        - product.values
+    )
+    inner = slice(1, -1)
+    lhs = pencil(chain.A[inner], chain.B[inner], chain.D[inner])(eta, zeta) @ f.values[inner]
+    return np.abs(lhs - rhs).max(axis=(1, 2))
 
 
 def transport_covector(

@@ -4,8 +4,9 @@ These deliberately avoid the library's code paths: bivariate determinants
 by recursive cofactor expansion over explicit coefficient grids, matrix
 square roots by the Denman-Beavers iteration, derivatives by finite
 differences, and the charge-2 evolution recurrence at 60 digits. The
-Lax checks on the full n*k delta basis of sections share the library's Ward
-operators and stand in for its 3-colour probe block only. The RK4 Nahm
+Lax checks on the full n*k delta basis of sections, the factorization one
+interior site at a time, share the library's Ward operators and stand in
+for its whole-chain 3-colour probe block only. The RK4 Nahm
 flow integrated node by node, one validated triple per node, and its cubic
 Hermite sampling at one z stand in for the library's stacked-array integrator
 and vectorised sampling. The per-entry [re, im] pair writer and reader, with
@@ -203,18 +204,11 @@ def commutator_residual(chain: DNChain, eta: complex, zeta: complex) -> float:
     return max_abs(pm.values - mp.values)
 
 
-def m_factorization_residual(
-    chain: DNChain,
-    r: int,
-    eta: complex,
-    zeta: complex,
-    reverse_order: bool = False,
-) -> float:
+def m_factorization_residual(chain: DNChain, r: int, eta: complex, zeta: complex) -> float:
     """Deviation of M from eta P- W+ + P+ W- - W+ W- at interior site r.
 
     Composite operators read through the links: (P- g)_r = P-_{r+1} g_{r+1}
-    and (P+ g)_r = P+_{r-1} g_{r-1}. With reverse_order the commuted product
-    W- W+ replaces W+ W-; on solutions both orderings agree.
+    and (P+ g)_r = P+_{r-1} g_{r-1}.
     """
     if not (chain.r0 < r < chain.r1):
         raise ChainTooShort(f"site {r} is not interior to [{chain.r0}, {chain.r1}]")
@@ -225,10 +219,7 @@ def m_factorization_residual(
     wminus_f = ward_minus(chain, eta, zeta, f)
     term_pm_wp = eta * chain.link(r).Pminus @ wplus_f.at(r + 1)
     term_pp_wm = chain.link(r - 1).Pplus @ wminus_f.at(r - 1)
-    if reverse_order:
-        product = ward_minus(chain, eta, zeta, wplus_f).at(r)
-    else:
-        product = ward_plus(chain, eta, wminus_f).at(r)
+    product = ward_plus(chain, eta, wminus_f).at(r)
     rhs = term_pm_wp + term_pp_wm - product
 
     lhs = pencil(site.A, site.B, site.D)(eta, zeta) @ f.at(r)

@@ -69,6 +69,13 @@ class TestExampleCommand:
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "InvalidMass"
 
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_mass_exit_2(self, p, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        message = typed_exit_2(["example", "--p", p, "--out", str(out)], capsys, "InvalidMass")
+        assert p in message
+        assert not out.exists()
+
 
 class TestEvolveCommand:
     def test_scalar_seed_ten_steps(self, tmp_path):
@@ -391,10 +398,13 @@ class TestUsageErrors:
             ["spectral", "--in", "{tmp}/c.json", "--out", "{tmp}/s.json", "--samples", "-2"],
             ["spectral", "--in", "{tmp}/c.json", "--out", "{tmp}/s.json", "--antidiagonal", "-3"],
             ["continuum", "--h", "0.04", "--out", "{tmp}/t.csv", "--steps", "0"],
+            ["evolve", "--random-k", "2", "--seed", "-1", "--steps", "3", "--out", "{tmp}/x.json"],
+            ["continuum", "--h", "0.04", "--seed", "-1", "--out", "{tmp}/t.csv"],
         ],
         ids=["no-command", "unknown-command", "spectral-jobs", "continuum-jobs",
              "evolve-k0", "evolve-steps0", "evolve-no-steps", "continuum-k0", "bad-float",
-             "spectral-samples-neg", "spectral-antidiagonal-neg", "continuum-steps0"],
+             "spectral-samples-neg", "spectral-antidiagonal-neg", "continuum-steps0",
+             "evolve-seed-neg", "continuum-seed-neg"],
     )
     def test_exit_2_with_one_json_line(self, argv, tmp_path, capsys):
         code = main([a.format(tmp=tmp_path) for a in argv])

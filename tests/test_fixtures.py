@@ -50,6 +50,11 @@ class TestTrigSolution:
             with pytest.raises(InvalidMass):
                 dnahm.trig_solution(p)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass(self, p):
+        with pytest.raises(InvalidMass):
+            dnahm.trig_params(p)
+
 
 class TestBoundaryRanks:
     def test_trig_p1_values(self):

@@ -120,6 +120,13 @@ MALFORMED = {
     "wrong-size": (ba_text(betas="[[[[1.0, 0.0]]], [[[0.5, 0.0], [0.5, 0.0]]]]"), "betas[1]"),
     "integer-overflow": (ba_text(gammas="[[[[1" + "0" * 400 + ", 0.0]]]]"), "gammas[0]"),
     "k-zero": ('{"k": 0, "form": "ba", "betas": [], "gammas": []}', "k >= 1"),
+    "k-float": (ba_text().replace('"k": 1', '"k": 2.5'), "'k' must be an integer"),
+    "k-string": (ba_text().replace('"k": 1', '"k": "2"'), "'k' must be an integer"),
+    "k-bool": (ba_text().replace('"k": 1', '"k": true'), "'k' must be an integer"),
+    "origin-float": (ba_text(extra=', "origin": 1.7'), "'origin' must be an integer"),
+    "origin-string": (ba_text(extra=', "origin": "1"'), "'origin' must be an integer"),
+    "origin-bool": (dn_text().replace('"k": 1', '"k": 1, "origin": false'),
+                    "'origin' must be an integer"),
 }
 
 
@@ -145,6 +152,23 @@ class TestMalformedDocuments:
         assert diagnostic["error"] == "FormatError"
         assert named in diagnostic["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["2.5", '"2"', "true", "2.0"])
+    def test_metric_k_must_be_an_integer(self, k, tmp_path, capsys):
+        chain, metric = tmp_path / "trig.json", tmp_path / "metric.json"
+        assert main(["example", "--p", "2", "--out", str(chain)]) == 0  # 4 sites, k = 2
+        identities = json.dumps([[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 4)
+        metric.write_text(f'{{"k": {k}, "metric": {identities}}}')
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        argv = ["verify", "--in", str(chain), "--metric", str(metric), "--report", str(report)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        diagnostic = json.loads(captured.err)
+        assert diagnostic["error"] == "FormatError"
+        assert "'k' must be an integer" in diagnostic["message"]
+        assert not report.exists()
 
 
 class TestSignedZeros:

@@ -156,19 +156,13 @@ class TestCommutator:
 class TestMFactorization:
     def test_trig_interior_sites(self):
         chain, _ = dnahm.trig_solution(2)
-        for r in (2, 3):
-            assert dnahm.m_factorization_residual(chain, r, 0.7 + 0.3j, 1.1 - 0.4j) < 1e-12
+        residuals = dnahm.m_factorization_residual(chain, 0.7 + 0.3j, 1.1 - 0.4j)
+        assert residuals.shape == (2,)  # sites 2 and 3
+        assert residuals.max() < 1e-12
 
     def test_scalar_chain(self):
         chain = dnahm.scalar_solution(-3j, -13.0, -3j, -2.0, 2.0, length=4)
-        assert dnahm.m_factorization_residual(chain, 1, 0.9, 0.3) < 1e-13
-
-    def test_both_orderings_agree_on_solutions(self):
-        chain = dnahm.from_braam_austin(helpers.evolved_chain(3, seed=18, steps=6)[0])
-        eta, zeta = 1.2 - 0.7j, 0.25 + 0.5j
-        a = dnahm.m_factorization_residual(chain, 3, eta, zeta)
-        b = dnahm.m_factorization_residual(chain, 3, eta, zeta, reverse_order=True)
-        assert a < 1e-12 and b < 1e-12
+        assert dnahm.m_factorization_residual(chain, 0.9, 0.3).max() < 1e-13
 
     def test_non_solution_matches_closed_form(self):
         # residual = max(|eta| ||B_r - P- P+ - A D||, |eta|^2 ||comm_A||) column-wise
@@ -178,7 +172,7 @@ class TestMFactorization:
             chain, 1, B=helpers.perturb_entry(chain.sites[1].B, 1, 0, 0.01)
         )
         eta, zeta = 0.8 + 0.2j, -0.6j
-        ours = dnahm.m_factorization_residual(bad, 2, eta, zeta)
+        ours = dnahm.m_factorization_residual(bad, eta, zeta)[0]  # site 2
         site = bad.site(2)
         right = bad.link(2)
         b_dev = site.B - (right.Pminus @ right.Pplus + site.A @ site.D)
@@ -186,10 +180,29 @@ class TestMFactorization:
         expected = max(abs(eta) * dnahm.max_abs(b_dev), abs(eta) ** 2 * dnahm.max_abs(comm_a))
         assert ours == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("k, n, origin", [(1, 3, 0), (2, 7, -3), (3, 10, 5)])
+    def test_b_perturbation_moves_only_its_site(self, k, n, origin):
+        """B enters M at its own site only, so every other entry keeps its bits;
+        a shift of 1e3 on an O(1) chain makes its own entry the largest."""
+        chain = random_dn_chain(np.random.default_rng([k, n, 9]), k, n, origin)
+        eta, zeta = PROBE_POINTS[0]
+        base = dnahm.m_factorization_residual(chain, eta, zeta)
+        for idx in range(1, n - 1):
+            bad = helpers.replace_site(
+                chain, idx, B=helpers.perturb_entry(chain.sites[idx].B, 0, k - 1, 1e3)
+            )
+            moved = dnahm.m_factorization_residual(bad, eta, zeta)
+            others = np.arange(n - 2) != idx - 1
+            assert np.array_equal(moved[others], base[others])
+            assert moved[idx - 1] > 10 * base.max()
+            oracle = oracles.m_factorization_residual(bad, chain.r0 + idx, eta, zeta)
+            assert within_oracle_tol(moved[idx - 1], oracle)
+
     def test_boundary_site_rejected(self):
-        chain, _ = dnahm.trig_solution(2)
+        # every site of a two-site chain is a boundary site: nothing to factorize
+        chain = random_dn_chain(np.random.default_rng(38), 2, 2)
         with pytest.raises(ChainTooShort):
-            dnahm.m_factorization_residual(chain, 1, 1.0, 1.0)
+            dnahm.m_factorization_residual(chain, 1.0, 1.0)
 
 
 # (eta, zeta) pairs for the probe-block tests: the CLI's two, and one with |eta| > 1
@@ -204,27 +217,14 @@ def within_oracle_tol(ours, oracle):
 class TestProbeBlock:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
     def test_layout(self, m):
-        chain = random_dn_chain(np.random.default_rng(35), 2, 8, origin=-3)
-        f = dnahm.basis_sections(chain, range(-2, -2 + m))
+        chain = random_dn_chain(np.random.default_rng(35), 2, m, origin=-2)
+        f = dnahm.basis_sections(chain)
         expected = np.zeros((m, 2, min(m, 3) * 2), dtype=complex)
         for i in range(m):
             for j in range(2):
                 expected[i, j, (i % 3) * 2 + j] = 1.0
         assert f.start == -2
         assert np.array_equal(f.values, expected)
-
-    def test_default_is_whole_chain(self):
-        chain = random_dn_chain(np.random.default_rng(36), 3, 5, origin=5)
-        assert np.array_equal(
-            dnahm.basis_sections(chain).values, dnahm.basis_sections(chain, range(5, 10)).values
-        )
-        assert dnahm.basis_sections(chain).start == 5
-
-    @pytest.mark.parametrize("sites", [range(-3, 2, 2), range(-4, 0), range(2, 5), range(0, 0)])
-    def test_bad_site_range_rejected(self, sites):
-        chain = random_dn_chain(np.random.default_rng(37), 2, 7, origin=-3)  # sites -3..3
-        with pytest.raises(ValueError):
-            dnahm.basis_sections(chain, sites)
 
     @pytest.mark.parametrize("origin", [0, -3, 5])
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 10])
@@ -235,11 +235,11 @@ class TestProbeBlock:
             ours = dnahm.commutator_residual(chain, eta, zeta)
             oracle = oracles.commutator_residual(chain, eta, zeta)
             assert within_oracle_tol(ours, oracle), (eta, zeta, ours, oracle)
-            for r in range(chain.r0 + 1, chain.r1):
-                for reverse in (False, True):
-                    ours = dnahm.m_factorization_residual(chain, r, eta, zeta, reverse)
-                    oracle = oracles.m_factorization_residual(chain, r, eta, zeta, reverse)
-                    assert within_oracle_tol(ours, oracle), (eta, zeta, r, reverse, ours, oracle)
+            residuals = dnahm.m_factorization_residual(chain, eta, zeta)
+            assert residuals.shape == (n - 2,)
+            for r, ours in zip(range(chain.r0 + 1, chain.r1), residuals, strict=True):
+                oracle = oracles.m_factorization_residual(chain, r, eta, zeta)
+                assert within_oracle_tol(ours, oracle), (eta, zeta, r, ours, oracle)
 
     @pytest.mark.parametrize("k, n", [(1, 3), (2, 4), (3, 5), (2, 7), (4, 10)])
     def test_probe_result_is_the_folded_delta_result(self, k, n):
