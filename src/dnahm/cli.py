@@ -49,7 +49,7 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _tolerance(text: str) -> float:
+def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
@@ -301,17 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None, help="chain/seed document (ba or dn form)")
     p.add_argument("--random-k", type=_positive_int, default=None, help="generate a random seed of this charge")
     p.add_argument("--seed", type=_nonnegative_int, default=0, help="rng seed for --random-k")
-    p.add_argument("--spread", type=float, default=0.3, help="amplitude for --random-k")
+    p.add_argument("--spread", type=_nonnegative_float, default=0.3, help="amplitude for --random-k")
     p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--backward", action="store_true")
-    p.add_argument("--tol", type=_tolerance, default=evolution.BREAKDOWN_TOL)
+    p.add_argument("--tol", type=_nonnegative_float, default=evolution.BREAKDOWN_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("verify", help="measure all equation residuals and report pass/fail")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--metric", default=None, help="metric document for the reality check")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-9)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_verify)
 

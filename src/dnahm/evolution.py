@@ -6,7 +6,8 @@ whose positive square root is the gauge-fixed gamma_{i+1} (so every produced
 gamma is Hermitian positive-definite, the self-adjoint gauge), and the
 evolution equation then gives beta_{i+2} = gamma_{i+1}^{-1} beta_i gamma_{i+1}.
 If H fails to be positive-definite the evolution cannot be continued; that
-is a breakdown, not an error.
+is a breakdown, not an error. So is an H that overflows the doubles; its
+lambda_min is reported as NaN.
 
 Breakdown is lambda_min(H) <= tol * ||H||_max (max-abs entry). The default,
 BREAKDOWN_TOL = 6e-8, comes from the stated long-chain accuracy: evolving
@@ -23,6 +24,7 @@ conditioning of the seed's rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -61,8 +63,11 @@ def _commutator_dag(beta: CMatrix) -> CMatrix:
 
 def _sqrt_step(h: CMatrix, tol: float) -> tuple[StepStatus, float, Optional[CMatrix]]:
     hs = (h + dagger(h)) / 2.0
+    scale = max_abs(hs)
+    if not math.isfinite(scale):  # H overflowed the doubles
+        return StepStatus.BREAKDOWN, math.nan, None
     lam_min = float(np.linalg.eigvalsh(hs)[0])
-    if lam_min <= tol * max_abs(hs):
+    if lam_min <= tol * scale:
         return StepStatus.BREAKDOWN, lam_min, None
     # hs is exactly Hermitian, so positive_sqrt runs at tol = 0 (its floor,
     # tol * (1 + |H|), would stop positive chains of small scale); its eigh can
@@ -99,6 +104,7 @@ def step_backward(gamma_next: CMatrix, beta_next: CMatrix, tol: float = BREAKDOW
     return StepOutcome(status, lam_min, (cmatrix(gamma_prev), cmatrix(beta_cur)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing step is a breakdown
 def evolve(
     seed: tuple[CMatrix, CMatrix],
     n_steps: int,

@@ -32,6 +32,10 @@ _PAULI = (
 )
 
 
+# trig_solution builds about 2 kB per site: 10**5 sites take 2 s and 200 MB
+TRIG_MAX_SITES = 100_000
+
+
 @dataclass(frozen=True)
 class TrigParams:
     p: float
@@ -44,6 +48,8 @@ def trig_params(p: float) -> TrigParams:
     n = round(two_p) if math.isfinite(two_p) else 0
     if p <= 0 or abs(two_p - n) > 1e-12 or n < 1:
         raise InvalidMass(f"2p must be a positive integer, got p = {p}")
+    if n > TRIG_MAX_SITES:
+        raise InvalidMass(f"2p must be at most {TRIG_MAX_SITES} sites, got p = {p}")
     return TrigParams(p=p, phi=math.pi / (2.0 * p + 2.0), site_range=range(1, n + 1))
 
 
@@ -110,6 +116,7 @@ def scalar_solution(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing first step is retried
 def random_reality_seed(
     k: int, seed: int, spread: float
 ) -> tuple[CMatrix, CMatrix]:
@@ -118,7 +125,7 @@ def random_reality_seed(
     beta has entries uniform in the complex disc of radius spread; gamma is
     the identity plus a small Hermitian positive perturbation scaled by
     spread, so spread = 0 gives exactly (I, 0). If the first forward step breaks
-    down, the spread is shrunk and the draw retried.
+    down (or overflows), the spread is shrunk and the draw retried.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -1,10 +1,19 @@
 """JSON and CSV serialization for chains, metrics, surfaces and tables.
 
 Complex entries are always [re, im] pairs; matrices are row-major nested
-lists of pairs. Documents carry a format_version field and are written
-compactly (no indentation). Each field is converted as one array: one
-``tolist`` to write it and one ``np.asarray`` to read it, and the values
-round-trip bit-exactly for finite doubles.
+lists of pairs. Documents carry a format_version field. Each field is
+converted as one array: one ``tolist`` to write it and one ``np.asarray``
+to read it.
+
+JSON goes through orjson both ways. The writer emits strict, compact JSON:
+each double in its shortest round-trip spelling (``1e16``, ``-0.0``), and a
+non-finite float as ``null``. The reader rounds correctly, so finite doubles
+round-trip bit-exactly, also through any other correctly rounding reader;
+an integer token beyond 64 bits reads as the nearest double. Only a
+document orjson refuses (a ``NaN`` or ``Infinity`` token, a number beyond
+the doubles) is parsed again by the standard library, so that the field
+checks can name the offending entry; a document neither parser reads is a
+FormatError.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+import orjson
 
 from .errors import FormatError
 from .linalg import CMatrix, cmatrix
@@ -57,7 +67,11 @@ def _list_field(doc: dict, field: str) -> list:
 
 
 def _int_field(doc: dict, field: str, default: Optional[int] = None) -> int:
-    """A field holding a JSON integer (a bool is not one); ``default`` when absent."""
+    """A field holding a JSON integer (a bool is not one); ``default`` when absent.
+
+    Its magnitude is at most 2**53, so that site indices built from it stay
+    within the 64-bit integers the writer can spell.
+    """
     if field not in doc:
         if default is None:
             raise FormatError(f"document missing field '{field}'")
@@ -65,6 +79,8 @@ def _int_field(doc: dict, field: str, default: Optional[int] = None) -> int:
     value = doc[field]
     if type(value) is not int:
         raise FormatError(f"'{field}' must be an integer, got {type(value).__name__}")
+    if abs(value) > 2**53:
+        raise FormatError(f"'{field}' must be an integer of magnitude at most 2**53")
     return value
 
 
@@ -197,13 +213,25 @@ def metric_from_document(doc: dict) -> np.ndarray:
 
 
 def save_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    """Write ``doc`` as one line of compact JSON; numpy scalars and arrays serialise too."""
+    Path(path).write_bytes(
+        orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    )
 
 
 def load_json(path) -> dict:
+    """The parsed JSON document at ``path``; FormatError when it cannot be read."""
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read JSON from {path}: {exc}") from exc
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:  # only for the diagnostics: NaN, Infinity and 1e400 parse here
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ class TestExampleCommand:
         assert p in message
         assert not out.exists()
 
+    def test_mass_beyond_the_site_limit_exit_2_without_allocating(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            message = typed_exit_2(["example", "--p", "1e300", "--out", str(out)], capsys,
+                                   "InvalidMass")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(dnahm.fixtures.TRIG_MAX_SITES) in message
+        assert peak < 1e6
+        assert not out.exists()
+
 
 class TestEvolveCommand:
     def test_scalar_seed_ten_steps(self, tmp_path):
@@ -103,6 +117,61 @@ class TestEvolveCommand:
         diag = json.loads(capsys.readouterr().err)
         assert diag["breakdown_at"] == 0
         assert out.exists()  # partial chain written
+
+    @pytest.mark.parametrize("backward, breakdown_at", [(False, 0), (True, -1)])
+    def test_seed_exactly_at_breakdown_exit_3(self, backward, breakdown_at, tmp_path, capsys):
+        # gamma = I and beta = E_12 put lambda_min of the first step matrix at 0:
+        # H = I -+ [beta*, beta] = I -+ diag(-1, 1)
+        seed = tmp_path / "seed.json"
+        ba = dnahm.BAChain(k=2, betas=(dnahm.cmatrix([[0.0, 1.0], [0.0, 0.0]]),) * 2,
+                           gammas=(dnahm.cmatrix(np.eye(2)),))
+        dio.save_json(seed, dio.chain_to_document(ba))
+        out = tmp_path / "chain.json"
+        argv = ["evolve", "--in", str(seed), "--steps", "5", "--out", str(out)]
+        assert main(argv + ["--backward"] * backward) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert (diag["breakdown_at"], diag["links"]) == (breakdown_at, 1)
+        assert len(dio.load_json(out)["gammas"]) == 1
+
+    def test_overflowing_step_matrix_is_a_breakdown(self, tmp_path, capsys):
+        # gamma = 1e200 I: gamma* gamma overflows the doubles on the first step
+        seed = tmp_path / "seed.json"
+        ba = dnahm.BAChain(k=2, betas=(dnahm.cmatrix(np.zeros((2, 2))),) * 2,
+                           gammas=(dnahm.cmatrix(1e200 * np.eye(2)),))
+        dio.save_json(seed, dio.chain_to_document(ba))
+        out = tmp_path / "chain.json"
+        assert main(["evolve", "--in", str(seed), "--steps", "5", "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert (diag["breakdown_at"], diag["links"]) == (0, 1)
+
+    def test_huge_step_count_stops_at_the_breakdown(self, tmp_path, capsys):
+        # the step loop allocates per step taken, never for the count asked
+        out = tmp_path / "chain.json"
+        assert main(["evolve", "--random-k", "2", "--seed", "1", "--spread", "0.3",
+                     "--steps", str(10**18), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert (diag["breakdown_at"], diag["links"]) == (4, 5)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
+    def test_spread_must_be_finite_and_non_negative(self, value, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        message = typed_exit_2(["evolve", "--random-k", "2", "--spread", value, "--steps", "3",
+                                "--out", str(out)], capsys, "UsageError")
+        assert "--spread" in message
+        assert not out.exists()
+
+    def test_overflowing_spread_leaves_one_diagnostic_line(self, tmp_path, capsys):
+        # every draw overflows the first step matrix, however often it is shrunk
+        out = tmp_path / "x.json"
+        typed_exit_2(["evolve", "--random-k", "2", "--spread", "1e300", "--steps", "3",
+                      "--out", str(out)], capsys, "SeedExhausted")
+        assert not out.exists()
 
     def test_random_seed_deterministic(self, tmp_path):
         args = ["evolve", "--random-k", "2", "--seed", "42", "--spread", "0.05",

@@ -55,6 +55,13 @@ class TestTrigSolution:
         with pytest.raises(InvalidMass):
             dnahm.trig_params(p)
 
+    def test_site_limit(self):
+        limit = dnahm.fixtures.TRIG_MAX_SITES
+        assert len(dnahm.trig_params(limit / 2).site_range) == limit
+        for p in ((limit + 1) / 2, 5e8):
+            with pytest.raises(InvalidMass, match="at most"):
+                dnahm.trig_params(p)
+
 
 class TestBoundaryRanks:
     def test_trig_p1_values(self):

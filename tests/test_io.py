@@ -64,16 +64,22 @@ class TestWholeArrayFields:
         new_doc, old_doc = json.loads(new.read_text()), json.loads(old.read_text())
         # float repr round-trips, so equal dumps mean equal doubles, bit for bit
         assert json.dumps(new_doc) == json.dumps(old_doc)
-        assert all(repr(x) in new.read_text() for x in EXTREMES)
-        # only whitespace differs: the new file is the compact form
-        assert new.read_text() == json.dumps(old_doc, separators=(",", ":")) + "\n"
+        # the new file is one line of compact JSON
+        text = new.read_text()
+        assert text.endswith("\n") and not any(c.isspace() for c in text[:-1])
+        # a file in the stdlib's compact spelling reads back to the same values
+        stdlib = tmp_path / "stdlib.json"
+        stdlib.write_text(json.dumps(old_doc, separators=(",", ":")) + "\n")
+        assert json.dumps(dio.load_json(stdlib)) == json.dumps(dio.load_json(new))
         # and the stacked reader gives the per-matrix reader's values, bit for bit
-        parsed, parsed_metric = dio.document_to_chain(new_doc)
+        parsed, parsed_metric = dio.document_to_chain(dio.load_json(stdlib))
         if form == "ba":
             fields = [*new_doc["betas"], *new_doc["gammas"]]
         else:
             fields = [s[f] for s in new_doc["sites"] for f in "ABD"]
             fields += [l[f] for l in new_doc["links"] for f in ("Pplus", "Pminus")]
+        written = np.concatenate([np.ravel(f) for f in fields + new_doc.get("metric", [])])
+        assert set(helpers.bits(np.array(EXTREMES))) <= set(helpers.bits(written))
         for got, pairs in zip(chain_matrices(parsed), fields, strict=True):
             assert not got.flags.writeable
             assert np.array_equal(helpers.bits(got), helpers.bits(oracles.matrix_from_pairs(pairs)))
@@ -119,6 +125,17 @@ MALFORMED = {
     "non-numeric": (ba_text(gammas='[[[["x", 0.0]]]]'), "gammas[0]"),
     "wrong-size": (ba_text(betas="[[[[1.0, 0.0]]], [[[0.5, 0.0], [0.5, 0.0]]]]"), "betas[1]"),
     "integer-overflow": (ba_text(gammas="[[[[1" + "0" * 400 + ", 0.0]]]]"), "gammas[0]"),
+    # orjson reads an integer beyond 64 bits as a double, the stdlib (which
+    # parses the document when a NaN is in it) as a Python int
+    "k-beyond-64-bits": (ba_text().replace('"k": 1', f'"k": {10**30}'), "'k' must be an integer"),
+    "k-beyond-64-bits-nan": (ba_text(betas="[[[[NaN, 0.0]]]]").replace('"k": 1', f'"k": {10**30}'),
+                             "'k' must be an integer"),
+    "origin-beyond-2-53": (ba_text(extra=f', "origin": {2**53 + 1}'), "'origin' must be an integer"),
+    "deep-nesting": (ba_text(betas="[" * 100_000 + "]" * 100_000), "betas[0]"),
+    # the NaN sends the document to the stdlib parser, whose recursion limit it exceeds
+    "deep-nesting-nan": (ba_text(betas="[" * 100_000 + "]" * 100_000, gammas="[[[[NaN, 0.0]]]]"),
+                         "cannot read JSON"),
+    "not-utf-8": (b'{"k": 1, "form": "ba", "note": "\xff"}', "cannot read JSON"),
     "k-zero": ('{"k": 0, "form": "ba", "betas": [], "gammas": []}', "k >= 1"),
     "k-float": (ba_text().replace('"k": 1', '"k": 2.5'), "'k' must be an integer"),
     "k-string": (ba_text().replace('"k": 1', '"k": "2"'), "'k' must be an integer"),
@@ -136,7 +153,7 @@ class TestMalformedDocuments:
     def test_format_error_names_field_and_index(self, case, command, tmp_path, capsys):
         text, named = MALFORMED[case]
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "out.json"
         argv = {
             "evolve": ["evolve", "--in", str(bad), "--steps", "2", "--out", str(out)],
@@ -188,6 +205,30 @@ class TestSignedZeros:
 
 
 SCALES = st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300])
+
+
+class TestJsonFiles:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
+    def test_save_then_load_bit_exact(self, seed, scale, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        patterns = rng.integers(0, 2**64, 64, dtype=np.uint64, endpoint=False).view(float)
+        subnormals = rng.integers(1, 2**52, 8) * 5e-324
+        values = np.concatenate([
+            scale * rng.standard_normal(64), EXTREMES, [0.0, -0.0], subnormals, -subnormals,
+            patterns[np.isfinite(patterns)],
+        ])
+        path = tmp_path_factory.getbasetemp() / "values.json"
+        # a numpy float64 serialises as json.dumps wrote it: a plain number
+        dio.save_json(path, {"values": values.tolist(), "scalars": list(values[:8])})
+        for doc in (dio.load_json(path), json.loads(path.read_text())):
+            assert np.array_equal(helpers.bits(np.array(doc["values"])), helpers.bits(values))
+            assert np.array_equal(helpers.bits(np.array(doc["scalars"])), helpers.bits(values[:8]))
+
+    def test_non_finite_values_are_written_as_null(self, tmp_path):
+        path = tmp_path / "report.json"
+        dio.save_json(path, {"max": float("nan"), "drift": [np.inf, np.float64(-np.inf), 1e16]})
+        assert path.read_text() == '{"max":null,"drift":[null,null,1e16]}\n'
 
 
 class TestRoundTripProperties:
