@@ -89,6 +89,10 @@ class DegenerateSlice(DnahmError):
     """The zeta-degree of a spectral surface collapses at a sampled eta."""
 
 
+class TooManyPoints(DnahmError):
+    """A curve diagnostic asks for more points than its element budget allows."""
+
+
 class InvalidMass(DnahmError):
     """The mass parameter p does not define a valid chain (2p must be a positive integer)."""
 

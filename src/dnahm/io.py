@@ -90,7 +90,12 @@ def _matrices(items: list, k: int, label: str) -> np.ndarray:
     The whole list is converted and checked at once. Only when that fails
     are the items examined one by one, so that the FormatError names the
     first bad one; ``label.format(i)`` is item i's name, e.g. "sites[3].A".
+    A k whose k x k matrix numpy cannot hold is refused before any allocation.
     """
+    if 16 * k * k > np.iinfo(np.intp).max:
+        raise FormatError(
+            f"'k' = {k} is too large: a k x k complex matrix exceeds numpy's array size"
+        )
     shape = (k, k, 2)
     try:
         arr = np.asarray(items, dtype=float)

@@ -9,8 +9,6 @@ for rank decisions, 1e-12 for symmetry checks, overridable per call.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import (
@@ -149,28 +147,34 @@ def matrix_rank(m: CMatrix, tol: float = RANK_TOL) -> int:
     return m.shape[1] - count
 
 
-def poly_roots(coeffs: Sequence[complex]) -> np.ndarray:
+def poly_roots(coeffs) -> np.ndarray:
     """Roots of a polynomial given ascending coefficients c[0] + c[1] x + ...
 
-    Uses companion-matrix eigenvalues. Raises DegenerateLeadingCoefficient
-    when the leading coefficient is negligible relative to the others.
-    Roots are sorted by (real, imag) so output order is deterministic.
+    ``coeffs`` is one coefficient sequence of length d + 1, giving d roots,
+    or an (m, d + 1) stack of them, giving an (m, d) array with row i the
+    roots of row i. Uses companion-matrix eigenvalues, one batched eigvals
+    over the stack. Raises DegenerateLeadingCoefficient when a leading
+    coefficient is negligible relative to the others in its row. Each row's
+    roots are sorted by (real, imag) so output order is deterministic.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
-    if c.ndim != 1 or c.size == 0:
-        raise DimensionMismatch("coefficients must be a non-empty 1-D sequence")
-    scale = float(np.abs(c).max())
-    if scale == 0.0 or abs(c[-1]) <= 1e-12 * scale:
+    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+        raise DimensionMismatch("coefficients must be a non-empty 1-D sequence or a stack of them")
+    scale = np.abs(c).max(axis=-1)
+    lead = np.abs(c[..., -1])
+    degenerate = (scale == 0.0) | (lead <= 1e-12 * scale)
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        row = f" in row {i}" if c.ndim == 2 else ""
         raise DegenerateLeadingCoefficient(
-            f"leading coefficient {abs(c[-1]):.3e} below 1e-12 of scale {scale:.3e}"
+            f"leading coefficient {lead.flat[i]:.3e} below 1e-12 of scale {scale.flat[i]:.3e}{row}"
         )
-    d = c.size - 1
+    d = c.shape[-1] - 1
     if d == 0:
-        return np.zeros(0, dtype=np.complex128)
-    monic = c / c[-1]
-    comp = np.zeros((d, d), dtype=np.complex128)
-    comp[1:, :-1] = np.eye(d - 1)
-    comp[:, -1] = -monic[:-1]
+        return np.zeros((*c.shape[:-1], 0), dtype=np.complex128)
+    comp = np.zeros((*c.shape[:-1], d, d), dtype=np.complex128)
+    comp[..., 1:, :-1] = np.eye(d - 1)
+    comp[..., :, -1] = -(c / c[..., -1:])[..., :-1]
     roots = np.linalg.eigvals(comp)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     PointNotOnCurve,
+    TooManyPoints,
 )
 from .linalg import CMatrix, max_abs
 from .model import DNChain
@@ -56,32 +59,107 @@ class SpectralSurface:
             raise DimensionMismatch("surface normalization c[0][k] = 1 violated")
 
     def evaluate(self, eta: complex, zeta: complex) -> complex:
-        e = eta ** np.arange(self.k + 1)
-        z = zeta ** np.arange(self.k + 1)
-        return complex(e @ self.c @ z)
+        return complex(_evaluate(self.c, np.array([eta]), np.array([zeta]))[0])
 
     def magnitude(self, eta: complex, zeta: complex) -> float:
         """Sum of |c[i][j]| |eta|^i |zeta|^j: the natural local scale of evaluate."""
-        e = abs(eta) ** np.arange(self.k + 1)
-        z = abs(zeta) ** np.arange(self.k + 1)
-        return float(e @ np.abs(self.c) @ z)
+        return float(_magnitude(self.c, np.array([eta]), np.array([zeta]))[0])
 
     def gradient(self, eta: complex, zeta: complex) -> tuple[complex, complex]:
-        i = np.arange(self.k + 1)
-        e, z = eta ** i, zeta ** i
-        de = np.concatenate(([0.0], i[1:] * eta ** (i[1:] - 1)))
-        dz = np.concatenate(([0.0], i[1:] * zeta ** (i[1:] - 1)))
-        return complex(de @ self.c @ z), complex(e @ self.c @ dz)
+        ge, gz = _gradient(self.c, np.array([eta]), np.array([zeta]))
+        return complex(ge[0]), complex(gz[0])
 
     def zeta_coefficients(self, eta: complex) -> np.ndarray:
         """Ascending coefficients of the degree-k polynomial zeta -> F(eta, zeta)."""
-        return (eta ** np.arange(self.k + 1)) @ self.c
+        return _zeta_slices(self, np.array([eta]))[0][0]
 
 
 @dataclass(frozen=True)
 class SmoothnessReport:
     min_gradient: float
     flagged: tuple[CurvePoint, ...]
+
+
+# The batched evaluation path. Every function below takes 1-D arrays of
+# eta and zeta values, one entry per point, and works on all points in one
+# expression. Row products are stacked (1, n) @ (n, n) and (1, n) @ (n, 1)
+# products: numpy hands each stacked row to the kernel of a 1-D product, so
+# a point's value has the bits of its own ``e @ c @ z``. One 2-D
+# (m, n) @ (n, n) product goes to another kernel and rounds differently.
+
+
+def _powers(x: np.ndarray, k: int) -> np.ndarray:
+    """Rows x^0, x^1, ..., x^k of the entries of x, shape (len(x), k + 1)."""
+    return x[:, None] ** np.arange(k + 1)
+
+
+def _derivatives(p: np.ndarray) -> np.ndarray:
+    """Rows 0, 1, 2 x, ..., k x^(k-1) from the power rows p of ``_powers``."""
+    d = np.zeros_like(p)
+    d[:, 1:] = np.arange(1, p.shape[1]) * p[:, :-1]
+    return d
+
+
+def _forms(e: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """e[i] @ c @ z[i] for every row i of the (m, n) arrays e and z."""
+    return (e[:, None, :] @ c @ z[:, :, None])[:, 0, 0]
+
+
+def _evaluate(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """F(eta[i], zeta[i]) for the coefficient grid c, at every point i."""
+    k = len(c) - 1
+    return _forms(_powers(eta, k), c, _powers(zeta, k))
+
+
+def _magnitude(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Sum of |c[i][j]| |eta|^i |zeta|^j at every point: F's natural scale there."""
+    return _evaluate(np.abs(c), np.abs(eta), np.abs(zeta))
+
+
+def _gradient(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dF/deta, dF/dzeta) for the coefficient grid c, at every point."""
+    k = len(c) - 1
+    e, z = _powers(eta, k), _powers(zeta, k)
+    return _forms(_derivatives(e), c, z), _forms(e, c, _derivatives(z))
+
+
+def _zeta_slices(surface: SpectralSurface, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zeta-slice coefficient rows at every eta, and which slices are degenerate.
+
+    Degeneracy is judged against the surface's coefficient scale as well as
+    the slice's own, so a slice where the whole polynomial nearly vanishes
+    (a line of the curve) is reported rather than root-solved.
+    """
+    coeffs = (_powers(eta, surface.k)[:, None, :] @ surface.c)[:, 0]
+    scale = np.maximum(max(1.0, float(np.abs(surface.c).max())), np.abs(coeffs).max(axis=1))
+    return coeffs, np.abs(coeffs[:, -1]) <= 1e-12 * scale
+
+
+def _unity_roots(n: int) -> np.ndarray:
+    """The n-th roots of unity exp(2 pi i m / n), m = 0..n-1."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _unity_circle(radii: np.ndarray, n: int) -> np.ndarray:
+    """eta = radius exp(2 pi i m / n) for m = 0..n-1 on each circle, radius-major."""
+    return (radii[:, None] * _unity_roots(n)).ravel()
+
+
+# A curve diagnostic holds a few arrays of points x (k + 1)^2 complex
+# entries at once: the companion matrices, eigvals' workspace and the power
+# rows. Under tracemalloc, curve_samples peaks at 35-66 bytes per element
+# (k = 8 down to 1) and smoothness_report on its samples at up to 97, so a
+# request at the budget peaks near 200 MB.
+MAX_CURVE_ELEMENTS = 2_000_000
+
+
+def _require_budget(points: int, k: int, what: str) -> None:
+    """Refuse, before allocating, a request of points x (k + 1)^2 elements over budget."""
+    if points * (k + 1) ** 2 > MAX_CURVE_ELEMENTS:
+        raise TooManyPoints(
+            f"{what}: {points} points at k = {k} are {points * (k + 1) ** 2} elements "
+            f"(points x (k + 1)^2), over the budget of {MAX_CURVE_ELEMENTS}"
+        )
 
 
 def bivariate_coeffs(f: Callable[[complex, complex], complex], deg1: int, deg2: int) -> np.ndarray:
@@ -91,11 +169,28 @@ def bivariate_coeffs(f: Callable[[complex, complex], complex], deg1: int, deg2: 
     inverts the DFT in each variable. Exact (to rounding) whenever f is a
     polynomial of bidegree at most (deg1, deg2).
     """
-    n1, n2 = deg1 + 1, deg2 + 1
-    w1 = np.exp(2j * np.pi * np.arange(n1) / n1)
-    w2 = np.exp(2j * np.pi * np.arange(n2) / n2)
+    w1, w2 = _unity_roots(deg1 + 1), _unity_roots(deg2 + 1)
     grid = np.array([[f(e, z) for z in w2] for e in w1])
     return np.fft.fft2(grid) / grid.size
+
+
+def _unity_det_coeffs(
+    matrix_at: Callable[[complex, complex], np.ndarray], n: int, deg1: int, deg2: int
+) -> np.ndarray:
+    """Coefficient grids, shape (n, deg1 + 1, deg2 + 1), of det matrix_at(eta, zeta).
+
+    ``matrix_at`` gives an (n, k, k) stack of matrix polynomials at one node.
+    Their determinants are filled into a grid on the tensor product of the
+    (deg1 + 1)-th and (deg2 + 1)-th roots of unity, one determinant per node
+    batched over the stack, and the DFT is inverted in each variable: exact
+    (to rounding) for determinants of bidegree at most (deg1, deg2).
+    """
+    w1, w2 = _unity_roots(deg1 + 1), _unity_roots(deg2 + 1)
+    grid = np.empty((n, len(w1), len(w2)), dtype=np.complex128)
+    for i, eta in enumerate(w1):
+        for j, zeta in enumerate(w2):
+            grid[:, i, j] = np.linalg.det(matrix_at(eta, zeta))
+    return np.fft.fft2(grid) / (len(w1) * len(w2))
 
 
 def pencil(A: CMatrix, B: CMatrix, D: CMatrix) -> Callable[[complex, complex], CMatrix]:
@@ -133,9 +228,8 @@ def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
     """Spectral surface of a site triple, or a tuple of them for stacked triples.
 
     A, B and D are k x k matrices, or (n, k, k) stacks of n site triples;
-    a stack gives a tuple of n surfaces. The determinant grid is filled one
-    roots-of-unity node at a time, each node one determinant batched over
-    the stack, so the working memory is a few (n, k, k) arrays.
+    a stack gives a tuple of n surfaces. The coefficients come from
+    ``_unity_det_coeffs``, so the working memory is a few (n, k, k) arrays.
     """
     A, B, D = (np.asarray(m) for m in (A, B, D))
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.shape == B.shape == D.shape:
@@ -143,13 +237,7 @@ def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
     k = A.shape[-1]
     stacked = A.ndim == 3
     a, b, d = (m if stacked else m[None] for m in (A, B, D))
-    m_at = pencil(a, b, d)
-    w = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-    grid = np.empty((len(a), k + 1, k + 1), dtype=np.complex128)
-    for i, eta in enumerate(w):
-        for j, zeta in enumerate(w):
-            grid[:, i, j] = np.linalg.det(m_at(eta, zeta))
-    c = np.fft.fft2(grid) / (k + 1) ** 2
+    c = _unity_det_coeffs(pencil(a, b, d), len(a), k, k)
     lost = np.abs(c[:, 0, k] - 1.0) > 1e-12 * (1.0 + np.abs(c).max(axis=(1, 2)))
     if lost.any():
         where = f" at stacked site {int(np.argmax(lost))}" if stacked else ""
@@ -190,15 +278,12 @@ def drift_series(chain: DNChain) -> list[tuple[int, float]]:
 def zeta_slice_roots(surface: SpectralSurface, eta: complex) -> np.ndarray:
     """The k roots in zeta of F(eta, .), raising DegenerateSlice on collapse.
 
-    Degeneracy is judged against the surface's coefficient scale as well as
-    the slice's own, so a slice where the whole polynomial nearly vanishes
-    (a line of the curve) is reported rather than root-solved.
+    The one-slice case of ``curve_samples``, with the same degeneracy rule.
     """
-    coeffs = surface.zeta_coefficients(eta)
-    scale = max(1.0, float(np.abs(surface.c).max()), float(np.abs(coeffs).max()))
-    if abs(coeffs[-1]) <= 1e-12 * scale:
+    coeffs, degenerate = _zeta_slices(surface, np.array([eta]))
+    if degenerate[0]:
         raise DegenerateSlice(f"zeta-degree collapses at eta = {eta}")
-    return linalg.poly_roots(coeffs)
+    return linalg.poly_roots(coeffs[0])
 
 
 def curve_samples(
@@ -211,27 +296,26 @@ def curve_samples(
 
     For each eta the k roots of the zeta-slice polynomial are returned;
     every point satisfies |F| <= residual_tol times the local magnitude.
-    Degenerate slices are skipped (the returned list is shorter).
+    Degenerate slices are skipped (the returned list is shorter) and their
+    count logged as a warning. All slices are root-solved by one stacked
+    ``poly_roots`` call; a request over ``MAX_CURVE_ELEMENTS`` raises
+    TooManyPoints before anything is allocated.
     """
-    points: list[CurvePoint] = []
-    skipped = 0
-    for m in range(n_eta):
-        eta = radius * np.exp(2j * np.pi * m / n_eta)
-        try:
-            roots = zeta_slice_roots(surface, eta)
-        except DegenerateSlice:
-            skipped += 1
-            continue
-        for zeta in roots:
-            residual = abs(surface.evaluate(eta, zeta))
-            if residual > residual_tol * surface.magnitude(eta, zeta):
-                raise NoConvergence(
-                    f"curve sample residual {residual:.3e} exceeded tolerance at eta={eta}"
-                )
-            points.append(CurvePoint(eta=complex(eta), zeta=complex(zeta)))
-    if skipped:
-        logger.warning("curve_samples skipped %d degenerate eta slices", skipped)
-    return points
+    _require_budget(n_eta, surface.k, "curve_samples")
+    etas = _unity_circle(np.array([radius]), n_eta)
+    coeffs, degenerate = _zeta_slices(surface, etas)
+    eta = np.repeat(etas[~degenerate], surface.k)
+    zeta = linalg.poly_roots(coeffs[~degenerate]).ravel()
+    residual = np.abs(_evaluate(surface.c, eta, zeta))
+    failed = np.flatnonzero(residual > residual_tol * _magnitude(surface.c, eta, zeta))
+    if failed.size:
+        i = failed[0]
+        raise NoConvergence(
+            f"curve sample residual {residual[i]:.3e} exceeded tolerance at eta={eta[i]}"
+        )
+    if degenerate.any():
+        logger.warning("curve_samples skipped %d degenerate eta slices", int(degenerate.sum()))
+    return list(map(CurvePoint, eta.tolist(), zeta.tolist()))
 
 
 def smoothness_report(
@@ -243,25 +327,19 @@ def smoothness_report(
 
     A vanishing gradient at a curve point marks it singular (a node of a
     reducible curve, for instance). Scale is the natural magnitude bound of
-    the gradient at the point.
+    the gradient at the point: the gradient of the grid |c| at |eta|, |zeta|,
+    summed over both variables.
     """
-    min_gradient = np.inf
-    flagged = []
-    i = np.arange(surface.k + 1)
-    absc = np.abs(surface.c)
-    for pt in samples:
-        ge, gz = surface.gradient(pt.eta, pt.zeta)
-        gnorm = float(np.hypot(abs(ge), abs(gz)))
-        ae, az = abs(pt.eta) ** i, abs(pt.zeta) ** i
-        de = np.concatenate(([0.0], i[1:] * abs(pt.eta) ** (i[1:] - 1)))
-        dz = np.concatenate(([0.0], i[1:] * abs(pt.zeta) ** (i[1:] - 1)))
-        scale = float(de @ absc @ az + ae @ absc @ dz)
-        min_gradient = min(min_gradient, gnorm)
-        if gnorm < flag_tol * max(1.0, scale):
-            flagged.append(pt)
-    if not samples:
-        min_gradient = 0.0
-    return SmoothnessReport(min_gradient=float(min_gradient), flagged=tuple(flagged))
+    coords = np.array(list(map(attrgetter("eta", "zeta"), samples)), dtype=np.complex128)
+    eta, zeta = coords.reshape(-1, 2).T
+    ge, gz = _gradient(surface.c, eta, zeta)
+    gnorm = np.hypot(np.abs(ge), np.abs(gz))
+    se, sz = _gradient(np.abs(surface.c), np.abs(eta), np.abs(zeta))
+    flagged = gnorm < flag_tol * np.maximum(1.0, se + sz)
+    return SmoothnessReport(
+        min_gradient=float(gnorm.min()) if gnorm.size else 0.0,
+        flagged=tuple(compress(samples, flagged)),
+    )
 
 
 def cokernel_nullity(
@@ -289,14 +367,13 @@ def antidiagonal_clearance(
     homogeneous rescaling |conj(eta)^k F| / (1 + |eta|^2)^k that stays
     finite at the poles. A positive lower bound is evidence the curve
     misses the anti-diagonal; a value at rounding scale reports an
-    intersection.
+    intersection. Every point is evaluated at once; a request over
+    ``MAX_CURVE_ELEMENTS`` raises TooManyPoints before anything is allocated.
     """
     k = surface.k
-    best = np.inf
-    for radius in radii:
-        for m in range(n):
-            eta = radius * np.exp(2j * np.pi * m / n)
-            value = surface.evaluate(eta, -1.0 / np.conj(eta))
-            rescaled = abs(np.conj(eta) ** k * value) / (1.0 + abs(eta) ** 2) ** k
-            best = min(best, rescaled)
-    return float(best)
+    radii = np.asarray(radii, dtype=float)
+    _require_budget(radii.size * n, k, "antidiagonal_clearance")
+    eta = _unity_circle(radii, n)
+    value = _evaluate(surface.c, eta, -1.0 / np.conj(eta))
+    rescaled = np.abs(np.conj(eta) ** k * value) / (1.0 + np.abs(eta) ** 2) ** k
+    return float(rescaled.min(initial=np.inf))

@@ -16,7 +16,10 @@ roots-of-unity node, for its stacked char_surface. Chains built from frozen
 per-site DNSite/DNLink objects, and the per-site loops of the chain kernels
 (conversions, residuals, gauge action, reality, Ward operators, drift and
 boundary ranks), stand in for the library's (n, k, k) stacks and its
-batched whole-chain expressions.
+batched whole-chain expressions. The per-point curve diagnostics (samples,
+slice roots, smoothness scan, anti-diagonal clearance) and the per-node Lax
+drift, one Python evaluation at a time, stand in for the library's batched
+evaluation path and its stacked determinant grid.
 """
 
 import json
@@ -29,6 +32,7 @@ from dnahm import linalg
 from dnahm.continuum import NahmTriple
 from dnahm.errors import (
     ChainTooShort,
+    DegenerateSlice,
     DimensionMismatch,
     FormatError,
     NoConvergence,
@@ -43,7 +47,13 @@ from dnahm.fixtures import BoundaryRanks
 from dnahm.lax import WardSection, ward_minus, ward_plus
 from dnahm.linalg import cmatrix, dagger, matrix_rank, max_abs
 from dnahm.model import BAChain, BAResiduals, DNChain, DNLink, DNSite, LinkResiduals
-from dnahm.spectral import SpectralSurface, bivariate_coeffs, pencil
+from dnahm.spectral import (
+    CurvePoint,
+    SmoothnessReport,
+    SpectralSurface,
+    bivariate_coeffs,
+    pencil,
+)
 
 
 def poly_mul2(a, b):
@@ -549,3 +559,115 @@ def boundary_rank_check(chain, tol=1e-9):
         left=matrix_rank(first.B - first.D @ first.A, tol),
         right=matrix_rank(last.B - last.A @ last.D, tol),
     )
+
+
+# Per-point curve diagnostics: one Python evaluation per sample, slice, angle
+# or trajectory node; the library evaluates every point in one batched
+# expression and every slice's roots in one stacked poly_roots call.
+
+
+def evaluate(surface, eta, zeta):
+    e = eta ** np.arange(surface.k + 1)
+    z = zeta ** np.arange(surface.k + 1)
+    return complex(e @ surface.c @ z)
+
+
+def magnitude(surface, eta, zeta):
+    e = abs(eta) ** np.arange(surface.k + 1)
+    z = abs(zeta) ** np.arange(surface.k + 1)
+    return float(e @ np.abs(surface.c) @ z)
+
+
+def gradient(surface, eta, zeta):
+    i = np.arange(surface.k + 1)
+    e, z = eta ** i, zeta ** i
+    de = np.concatenate(([0.0], i[1:] * eta ** (i[1:] - 1)))
+    dz = np.concatenate(([0.0], i[1:] * zeta ** (i[1:] - 1)))
+    return complex(de @ surface.c @ z), complex(e @ surface.c @ dz)
+
+
+def zeta_coefficients(surface, eta):
+    return (eta ** np.arange(surface.k + 1)) @ surface.c
+
+
+def zeta_slice_roots(surface, eta):
+    coeffs = zeta_coefficients(surface, eta)
+    scale = max(1.0, float(np.abs(surface.c).max()), float(np.abs(coeffs).max()))
+    if abs(coeffs[-1]) <= 1e-12 * scale:
+        raise DegenerateSlice(f"zeta-degree collapses at eta = {eta}")
+    return linalg.poly_roots(coeffs)
+
+
+def curve_samples(surface, n_eta, radius=1.0, residual_tol=1e-8):
+    """Sample points and the number of skipped degenerate slices."""
+    points = []
+    skipped = 0
+    for m in range(n_eta):
+        eta = radius * np.exp(2j * np.pi * m / n_eta)
+        try:
+            roots = zeta_slice_roots(surface, eta)
+        except DegenerateSlice:
+            skipped += 1
+            continue
+        for zeta in roots:
+            residual = abs(evaluate(surface, eta, zeta))
+            if residual > residual_tol * magnitude(surface, eta, zeta):
+                raise NoConvergence(
+                    f"curve sample residual {residual:.3e} exceeded tolerance at eta={eta}"
+                )
+            points.append(CurvePoint(eta=complex(eta), zeta=complex(zeta)))
+    return points, skipped
+
+
+def smoothness_report(surface, samples, flag_tol=1e-6):
+    min_gradient = np.inf
+    flagged = []
+    i = np.arange(surface.k + 1)
+    absc = np.abs(surface.c)
+    for pt in samples:
+        ge, gz = gradient(surface, pt.eta, pt.zeta)
+        gnorm = float(np.hypot(abs(ge), abs(gz)))
+        ae, az = abs(pt.eta) ** i, abs(pt.zeta) ** i
+        de = np.concatenate(([0.0], i[1:] * abs(pt.eta) ** (i[1:] - 1)))
+        dz = np.concatenate(([0.0], i[1:] * abs(pt.zeta) ** (i[1:] - 1)))
+        scale = float(de @ absc @ az + ae @ absc @ dz)
+        min_gradient = min(min_gradient, gnorm)
+        if gnorm < flag_tol * max(1.0, scale):
+            flagged.append(pt)
+    if not samples:
+        min_gradient = 0.0
+    return SmoothnessReport(min_gradient=float(min_gradient), flagged=tuple(flagged))
+
+
+def antidiagonal_clearance(surface, n, radii=(0.5, 1.0, 2.0)):
+    k = surface.k
+    best = np.inf
+    for radius in radii:
+        for m in range(n):
+            eta = radius * np.exp(2j * np.pi * m / n)
+            value = evaluate(surface, eta, -1.0 / np.conj(eta))
+            rescaled = abs(np.conj(eta) ** k * value) / (1.0 + abs(eta) ** 2) ** k
+            best = min(best, rescaled)
+    return float(best)
+
+
+def lax_polynomial_coeffs(triple: NahmTriple):
+    """Lax coefficient grid from one scalar determinant per grid point."""
+    t1, t2, t3 = triple.t1, triple.t2, triple.t3
+    k = triple.k
+    eye = np.eye(k, dtype=np.complex128)
+
+    def f(eta, zeta):
+        a = (t1 + 1j * t2) - 2j * t3 * zeta + (t1 - 1j * t2) * zeta * zeta
+        return complex(np.linalg.det(eta * eye - a))
+
+    return bivariate_coeffs(f, k, 2 * k)
+
+
+def invariant_drift(trajectory, stride=1):
+    """Per-node Lax drift: one validated NahmTriple and one closure per node."""
+    base = lax_polynomial_coeffs(NahmTriple(*trajectory.nodes[0]))
+    worst = 0.0
+    for node in trajectory.nodes[::stride]:
+        worst = max(worst, max_abs(lax_polynomial_coeffs(NahmTriple(*node)) - base))
+    return worst

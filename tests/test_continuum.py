@@ -10,6 +10,7 @@ from scipy.special import ellipj, ellipkinc
 import dnahm
 from dnahm.errors import DimensionMismatch, FlowBlowUp, RangeNotCovered
 
+import helpers
 import oracles
 
 PAULI1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -116,6 +117,33 @@ class TestIntegrate:
     def test_lax_coefficients_conserved(self):
         traj = dnahm.integrate_nahm(dnahm.euler_top_triple(), 0.0, 1.0, 1000)
         assert dnahm.invariant_drift(traj, stride=50) < 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_drift_bit_equal_to_per_node_oracle(self, k):
+        traj = dnahm.integrate_nahm(dnahm.random_skew_triple(k, seed=90 + k), 0.0, 1.0, 60)
+        for stride in (1, 7):
+            assert dnahm.invariant_drift(traj, stride) == oracles.invariant_drift(traj, stride)
+        triple = traj.states[-1]
+        ours, theirs = dnahm.lax_polynomial_coeffs(triple), oracles.lax_polynomial_coeffs(triple)
+        assert ours.shape == (k + 1, 2 * k + 1)
+        assert np.array_equal(helpers.bits(ours), helpers.bits(theirs))
+
+    def test_drift_refuses_a_node_that_is_not_skew(self):
+        start = dnahm.random_skew_triple(2, seed=95)
+        nodes = np.array(dnahm.integrate_nahm(start, 0.0, 1.0, 10).nodes)
+        nodes[4, 1] += 1e-6 * np.eye(2)  # Hermitian part: off by 2e-6 at node 4
+        traj = dnahm.NahmTrajectory(z0=0.0, z1=1.0, nodes=nodes)
+        with pytest.raises(DimensionMismatch, match="skew-hermitian"):
+            dnahm.invariant_drift(traj)
+        assert dnahm.invariant_drift(traj, stride=3) >= 0.0  # node 4 is not visited
+        with pytest.raises(DimensionMismatch, match="skew-hermitian"):
+            oracles.invariant_drift(traj)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_drift_stride_below_one_rejected(self, stride):
+        traj = dnahm.integrate_nahm(dnahm.random_skew_triple(2, seed=96), 0.0, 1.0, 10)
+        with pytest.raises(ValueError, match="stride"):
+            dnahm.invariant_drift(traj, stride)
 
 
 class TestStackedIntegrator:

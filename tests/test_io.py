@@ -137,6 +137,9 @@ MALFORMED = {
                          "cannot read JSON"),
     "not-utf-8": (b'{"k": 1, "form": "ba", "note": "\xff"}', "cannot read JSON"),
     "k-zero": ('{"k": 0, "form": "ba", "betas": [], "gammas": []}', "k >= 1"),
+    # empty lists leave nothing to check but k, whose k x k matrix numpy cannot hold
+    "k-too-large-empty-lists": ('{"k": 1099511627776, "form": "ba", "betas": [], "gammas": []}',
+                                "'k' = 1099511627776 is too large"),
     "k-float": (ba_text().replace('"k": 1', '"k": 2.5'), "'k' must be an integer"),
     "k-string": (ba_text().replace('"k": 1', '"k": "2"'), "'k' must be an integer"),
     "k-bool": (ba_text().replace('"k": 1', '"k": true'), "'k' must be an integer"),

@@ -231,3 +231,20 @@ class TestPolyRoots:
         a = dnahm.poly_roots([2.0, 0.0, -3.0, 1.0])
         b = dnahm.poly_roots([2.0, 0.0, -3.0, 1.0])
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", range(0, 9))
+    def test_stacked_rows_bit_equal_to_one_row_calls(self, d):
+        rng = np.random.default_rng(70 + d)
+        c = rng.standard_normal((7, d + 1)) + 1j * rng.standard_normal((7, d + 1))
+        if d:
+            c[3] = np.poly(np.full(d, 0.3 + 0.1j))[::-1]  # a d-fold root: clustered eigenvalues
+        roots = dnahm.poly_roots(c)
+        assert roots.shape == (7, d)
+        for i in range(7):
+            assert np.array_equal(helpers.bits(roots[i]), helpers.bits(dnahm.poly_roots(c[i])))
+
+    def test_stacked_degenerate_row_raises(self):
+        c = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 1e-15], [0.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateLeadingCoefficient, match="in row 1"):
+            dnahm.poly_roots(c)
+        assert dnahm.poly_roots(c[:0]).shape == (0, 2)

@@ -1,5 +1,7 @@
 """Tests for spectral surfaces, drift, and curve diagnostics."""
 
+import json
+import logging
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dnahm
-from dnahm.errors import ChainTooShort, NoConvergence, PointNotOnCurve
+from dnahm.cli import main
+from dnahm.errors import ChainTooShort, NoConvergence, PointNotOnCurve, TooManyPoints
 
 import helpers
 import oracles
@@ -300,3 +303,115 @@ class TestStackedSurface:
         c1 = np.stack([s.c for s in dnahm.char_surface(g @ a @ gi, g @ b @ gi, g @ d @ gi)])
         scale = 1.0 + np.abs(c0).max(axis=(1, 2))
         assert np.all(np.abs(c1 - c0).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+# The batched diagnostics round like their per-point oracles except where
+# numpy's vectorised complex abs and power loops differ from its scalar ones,
+# by an ulp or two per operation. min_gradient, the clearance and the
+# magnitude take such a value into their result; samples and flags do not:
+# - min_gradient is hypot(|dF/deta|, |dF/dzeta|) of bit-equal gradients,
+#   with each |.| off by up to 2 ulp: 4 ulp covers it.
+# - the clearance divides |conj(eta)^k F| by (1 + |eta|^2)^k. A 2-ulp |eta|
+#   is a 4k-ulp denominator after the power, and the complex power, its
+#   modulus and the real power add about 8 more: (4k + 8) ulp.
+# - the magnitude sums |c[i][j]| |eta|^i |zeta|^j, whose powers turn 2-ulp
+#   moduli into up to 4k ulp per term: (4k + 4) ulp.
+EPS = np.finfo(float).eps
+
+
+def within_ulps(ours, theirs, n):
+    return abs(ours - theirs) <= n * EPS * abs(theirs)
+
+
+def assert_diagnostics_match_oracles(s, n_eta=32, n_clear=64):
+    points = dnahm.curve_samples(s, n_eta)
+    expected, _ = oracles.curve_samples(s, n_eta)
+    assert len(points) == len(expected)
+    got = np.array([(p.eta, p.zeta) for p in points]).reshape(-1, 2)
+    want = np.array([(p.eta, p.zeta) for p in expected]).reshape(-1, 2)
+    assert np.array_equal(helpers.bits(got), helpers.bits(want))
+    samples = points + [dnahm.CurvePoint(0.0, 0.0)]  # a node of reducible curves
+    report, oracle = dnahm.smoothness_report(s, samples), oracles.smoothness_report(s, samples)
+    assert report.flagged == oracle.flagged
+    assert within_ulps(report.min_gradient, oracle.min_gradient, 4)
+    clearance = dnahm.antidiagonal_clearance(s, n_clear)
+    assert within_ulps(clearance, oracles.antidiagonal_clearance(s, n_clear), 4 * s.k + 8)
+    for eta, zeta in got[:: max(1, len(got) // 5)]:
+        assert np.array_equal(helpers.bits(dnahm.zeta_slice_roots(s, eta)),
+                              helpers.bits(oracles.zeta_slice_roots(s, eta)))
+        assert s.evaluate(eta, zeta) == oracles.evaluate(s, eta, zeta)
+        assert s.gradient(eta, zeta) == oracles.gradient(s, eta, zeta)
+        assert within_ulps(s.magnitude(eta, zeta), oracles.magnitude(s, eta, zeta), 4 * s.k + 4)
+
+
+class TestBatchedDiagnosticsMatchPerPointOracles:
+    @pytest.mark.parametrize("spread", [0.002, 0.1])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_evolved_chain_surfaces(self, k, spread):
+        ba, bk = dnahm.evolve(dnahm.random_reality_seed(k, 80 + k, spread), 3)
+        assert bk is None
+        chain = dnahm.from_braam_austin(ba)
+        for s in dnahm.char_surface(chain.A, chain.B, chain.D):
+            assert_diagnostics_match_oracles(s)
+
+    @pytest.mark.parametrize("p", [1, 50])
+    def test_trig_fixture(self, p):
+        chain, _ = dnahm.trig_solution(p)
+        for s in dnahm.char_surface(chain.A[:3], chain.B[:3], chain.D[:3]):
+            assert_diagnostics_match_oracles(s)
+
+    def test_degenerate_slice_surface(self):
+        s = surface_k1(1.0, 0.0, 0.0)  # the slice at eta = -1 collapses
+        assert_diagnostics_match_oracles(s, n_eta=8, n_clear=16)
+        assert oracles.curve_samples(s, 8)[1] == 1
+
+    def test_no_samples(self):
+        s = surface_k1(2.0, 3.0, 5.0)
+        assert dnahm.curve_samples(s, 0) == []
+        assert dnahm.smoothness_report(s, []) == dnahm.SmoothnessReport(0.0, ())
+        assert dnahm.antidiagonal_clearance(s, 0) == np.inf
+
+
+class TestDegenerateSliceRecord:
+    def test_one_warning_carrying_the_count(self, caplog):
+        # perfbench/tracer.py counts skipped slices from this record's args[0]
+        with caplog.at_level(logging.WARNING, logger="dnahm.spectral"):
+            dnahm.curve_samples(surface_k1(1.0, 0.0, 0.0), 8)
+        records = [r for r in caplog.records if r.name == "dnahm.spectral"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert "degenerate" in records[0].msg
+        assert records[0].args[0] == 1
+
+    def test_no_record_without_degenerate_slices(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="dnahm.spectral"):
+            dnahm.curve_samples(surface_k1(2.0, 3.0, 5.0), 8)
+        assert not [r for r in caplog.records if r.name == "dnahm.spectral"]
+
+
+class TestElementBudget:
+    # counts above the budget, which are refused before anything is allocated
+    def test_curve_samples_refused(self):
+        s = surface_k1(2.0, 3.0, 5.0)
+        with pytest.raises(TooManyPoints, match="curve_samples"):
+            dnahm.curve_samples(s, dnahm.spectral.MAX_CURVE_ELEMENTS // 4 + 1)
+        dnahm.curve_samples(s, 16)
+
+    def test_antidiagonal_refused(self):
+        s = surface_k1(2.0, 3.0, 5.0)
+        n = dnahm.spectral.MAX_CURVE_ELEMENTS // 12 + 1  # three radii, (k + 1)^2 = 4
+        with pytest.raises(TooManyPoints, match="antidiagonal_clearance"):
+            dnahm.antidiagonal_clearance(s, n)
+        dnahm.antidiagonal_clearance(s, 16)
+
+    @pytest.mark.parametrize("option", ["--samples", "--antidiagonal"])
+    def test_cli_exit_2_with_one_json_line(self, option, tmp_path, capsys):
+        chain, out = tmp_path / "trig.json", tmp_path / "out.json"
+        assert main(["example", "--p", "1", "--out", str(chain)]) == 0
+        capsys.readouterr()
+        argv = ["spectral", "--in", str(chain), "--out", str(out), option, "1000000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["error"] == "TooManyPoints"
+        assert not out.exists()
