@@ -270,14 +270,23 @@ class ScalingRow:
     r_metric: float
 
 
-def embedded_residuals(trajectory: NahmTrajectory, h: float, window: float = 1.0) -> ScalingRow:
-    """Embed over z in [0, window] and report both residual families."""
-    from .model import ba_residuals
-
-    n_sites = int(np.floor(window / (2.0 * h)))
+def _window_sites(h: float) -> float:
+    """Sites of the embedding window [0, 1] at spacing h, floor(1/(2h)), as a
+    float (inf when 1/(2h) overflows); fewer than 3 is a ValueError."""
+    n_sites = np.floor(1.0 / (2.0 * h))
     if n_sites < 3:
         raise ValueError("window too small for this h")
-    chain = embed(trajectory, h, range(0, n_sites))
+    return n_sites
+
+
+def embedded_residuals(trajectory: NahmTrajectory, h: float) -> ScalingRow:
+    """Embed over z in [0, 1] and report both residual families.
+
+    Raises ValueError when the window holds fewer than 3 sites at spacing h.
+    """
+    from .model import ba_residuals
+
+    chain = embed(trajectory, h, range(0, int(_window_sites(h))))
     res = ba_residuals(chain)
     return ScalingRow(
         h=h,
@@ -287,25 +296,24 @@ def embedded_residuals(trajectory: NahmTrajectory, h: float, window: float = 1.0
 
 
 def residual_scaling(
-    initial: NahmTriple,
-    h_list: list[float],
-    window: float = 1.0,
-    rk_steps: int = 2000,
+    initial: NahmTriple, h_list: list[float], rk_steps: int = 2000
 ) -> list[ScalingRow]:
     """Residual table over a decreasing list of spacings h.
 
     Integrates once on a grid of node spacing at most min(h)/10, and at
-    least rk_steps steps, then embeds and measures at each h. On generic
-    non-commuting data successive rows halve.
+    least rk_steps steps, then embeds over the window [0, 1] and measures at
+    each h. On generic non-commuting data successive rows halve. A spacing
+    whose window holds fewer than 3 sites is refused before integrating.
     """
     if not h_list or not all(0 < h < np.inf for h in h_list):
         raise ValueError("h_list must be finite and positive")
     if list(h_list) != sorted(h_list, reverse=True):
         raise ValueError("h_list must be decreasing")
-    span = window + 3.0 * max(h_list)
+    _window_sites(max(h_list))
+    span = 1.0 + 3.0 * max(h_list)
     floor = np.ceil(10.0 * span / min(h_list))
     if not np.isfinite(floor):
         raise ValueError(f"h = {min(h_list)} needs more RK4 steps than a float can count")
     steps = max(rk_steps, int(floor))
     trajectory = integrate_nahm(initial, 0.0, span, steps)
-    return [embedded_residuals(trajectory, h, window) for h in h_list]
+    return [embedded_residuals(trajectory, h) for h in h_list]

@@ -161,20 +161,18 @@ def evolve(
     return chain, (origin if broke else None)
 
 
-def seed_from_triple(
-    A: CMatrix, B: CMatrix, D: CMatrix, tol: float = 1e-9
-) -> tuple[CMatrix, CMatrix]:
+def seed_from_triple(A: CMatrix, B: CMatrix, D: CMatrix) -> tuple[CMatrix, CMatrix]:
     """Evolution seed from a single (A, B, D) triple in the reality class.
 
     Returns (gamma0, beta0) = (positive sqrt of A D - B, -A); evolving from
     it yields a chain whose site-0 triple reproduces (A, B, D). The triple
-    must belong to the reality class: D = -A* within tol (otherwise the
-    regenerated site would carry -A* in place of D) and A D - B Hermitian
-    positive-definite. Raises NotRealityCompatible, NotHermitian or
+    must belong to the reality class, each test at 1e-9 relative: D = -A*
+    (otherwise the regenerated site would carry -A* in place of D) and A D - B
+    Hermitian positive-definite. Raises NotRealityCompatible, NotHermitian or
     NotPositiveDefinite; no attempt is made to continue outside the class.
     """
     deviation = max_abs(D + dagger(A))
-    if deviation > tol * (1.0 + max(max_abs(A), max_abs(D))):
+    if deviation > 1e-9 * (1.0 + max(max_abs(A), max_abs(D))):
         raise NotRealityCompatible(deviation)
-    gamma0 = linalg.positive_sqrt(A @ D - B, tol=tol)
+    gamma0 = linalg.positive_sqrt(A @ D - B, tol=1e-9)
     return cmatrix(gamma0), cmatrix(-A)

@@ -82,16 +82,17 @@ def trig_solution(p: float) -> tuple[DNChain, np.ndarray]:
     return chain, cmatrix([[[sk(r + 1), 0.0], [0.0, sk(r)]] for r in sites])
 
 
-def boundary_rank_check(chain: DNChain, tol: float = 1e-9) -> BoundaryRanks:
-    """Numerical ranks of B - DA at the left end and B - AD at the right end.
+def boundary_rank_check(chain: DNChain) -> BoundaryRanks:
+    """Numerical ranks (``matrix_rank``, at RANK_TOL) of B - DA at the left
+    end and B - AD at the right end.
 
     Both equal 1 exactly for the chains that come from monopole boundary
     data; the trigonometric family realizes that whenever 2p is an integer.
     """
     A, B, D = chain.A, chain.B, chain.D
     return BoundaryRanks(
-        left=matrix_rank(B[0] - D[0] @ A[0], tol),
-        right=matrix_rank(B[-1] - A[-1] @ D[-1], tol),
+        left=matrix_rank(B[0] - D[0] @ A[0]),
+        right=matrix_rank(B[-1] - A[-1] @ D[-1]),
     )
 
 

@@ -145,21 +145,18 @@ def m_factorization_residual(chain: DNChain, eta: complex, zeta: complex) -> np.
 
 
 def transport_covector(
-    chain: DNChain,
-    r: int,
-    point: CurvePoint,
-    g_right: np.ndarray,
-    tol: float = linalg.RANK_TOL,
+    chain: DNChain, r: int, point: CurvePoint, g_right: np.ndarray
 ) -> np.ndarray:
     """Transport a covector across link (r, r+1) so that [g^t W-] vanishes.
 
     Given g at site r+1, returns g at site r:
         g_r^t = -(1/eta) g_{r+1}^t (zeta + D_{r+1}) (P-_{r+1})^{-1}.
+    Raises SingularPminus when P-_{r+1} fails ``linalg.require_invertible``.
     """
     if abs(point.eta) <= 1e-8:
         raise EtaNearZero("transport needs |eta| > 1e-8")
     link = chain.link(r)
-    linalg.require_invertible(link.Pminus, tol, SingularPminus)
+    linalg.require_invertible(link.Pminus, error=SingularPminus)
     site_right = chain.site(r + 1)
     eye = np.eye(chain.k, dtype=np.complex128)
     return (
@@ -170,31 +167,25 @@ def transport_covector(
     )
 
 
-def dual_transport_check(
-    chain: DNChain,
-    r: int,
-    point: CurvePoint,
-    tol: float = linalg.RANK_TOL,
-    on_curve_tol: float = 1e-6,
-) -> float:
+def dual_transport_check(chain: DNChain, r: int, point: CurvePoint) -> float:
     """Transport a left null covector of M_{r+1} across link (r, r+1).
 
     Computes g_{r+1} with g^t M_{r+1} = 0, transports it so that
     [g^t W-] = 0, and returns ||g_r^t M_r|| / ||g_r||. On solutions this
     vanishes: annihilators of M march down the chain one twist at a time,
     which is the step-by-step form of the straight-line motion of the
-    associated line bundle.
+    associated line bundle. Raises PointNotOnCurve when the point is off
+    M_{r+1}'s curve or M_{r+1}'s smallest singular value exceeds 1e-6 times
+    its scale (or 1).
     """
     site_right = chain.site(r + 1)
-    m_right, m_scale = pencil_at_curve_point(
-        site_right.A, site_right.B, site_right.D, point, on_curve_tol
-    )
+    m_right, m_scale = pencil_at_curve_point(site_right.A, site_right.B, site_right.D, point)
     # null covector from the transpose's nullspace
     _, s, vh = np.linalg.svd(m_right.T)
-    if s[-1] > max(tol, on_curve_tol) * max(1.0, m_scale):
+    if s[-1] > 1e-6 * max(1.0, m_scale):
         raise PointNotOnCurve("M at the right site has no left null covector")
     g_right = vh[-1].conj()  # direction of the smallest singular value
-    g_left = transport_covector(chain, r, point, g_right, tol)
+    g_left = transport_covector(chain, r, point, g_right)
     site_left = chain.site(r)
     m_left = pencil(site_left.A, site_left.B, site_left.D)(point.eta, point.zeta)
     norm = float(np.linalg.norm(g_left))

@@ -4,7 +4,8 @@ Matrices are plain complex128 numpy arrays, one matrix or an (n, k, k)
 stack; ``cmatrix`` validates and freezes one. Sizes are small (the charge k
 is typically 2..10). Positive square roots come from one Hermitian
 eigendecomposition. All tolerances are relative to matrix magnitude: 1e-9
-for rank decisions, 1e-12 for symmetry checks, overridable per call.
+(``RANK_TOL``) for rank and invertibility decisions, 1e-12 for symmetry
+checks.
 """
 
 from __future__ import annotations
@@ -94,32 +95,30 @@ def positive_sqrt(h: CMatrix, tol: float = SYMMETRY_TOL) -> CMatrix:
     return (u * np.sqrt(lam)) @ dagger(u)
 
 
-def require_invertible(
-    m: CMatrix, tol: float = RANK_TOL, error: type[Singular] = Singular
-) -> None:
+def require_invertible(m: CMatrix, error: type[Singular] = Singular) -> None:
     """The invertibility rule: raise ``error`` (Singular or the subclass naming
     the matrix's role, with the condition estimate) when the smallest singular
-    value is at or below tol times the largest. For a stack of matrices the
-    error carries the condition of the first one that fails."""
+    value is at or below RANK_TOL times the largest. For a stack of matrices
+    the error carries the condition of the first one that fails."""
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
     s = np.linalg.svd(m, compute_uv=False).reshape(-1, m.shape[-1])
     if not s.shape[1]:
         raise error(condition=np.inf)  # a 0 x 0 matrix
     smax, smin = s[:, 0], s[:, -1]
-    failed = np.flatnonzero((smax == 0.0) | (smin <= tol * smax))
+    failed = np.flatnonzero((smax == 0.0) | (smin <= RANK_TOL * smax))
     if failed.size:
         i = failed[0]
         raise error(condition=float(smax[i] / smin[i]) if smin[i] > 0 else np.inf)
 
 
-def inverse(m: CMatrix, tol: float = RANK_TOL) -> CMatrix:
+def inverse(m: CMatrix) -> CMatrix:
     """Inverse of a square matrix, refusing when the condition is hopeless.
 
     Raises Singular (with the condition estimate) when the smallest singular
-    value is below tol times the largest.
+    value is at or below RANK_TOL times the largest.
     """
-    require_invertible(m, tol)
+    require_invertible(m)
     return np.linalg.inv(m)
 
 
@@ -141,9 +140,9 @@ def nullity(m: CMatrix, tol: float = RANK_TOL) -> tuple[int, CMatrix]:
     return m.shape[1] - rank, basis
 
 
-def matrix_rank(m: CMatrix, tol: float = RANK_TOL) -> int:
-    """Numerical rank at relative tolerance tol."""
-    count, _ = nullity(m, tol)
+def matrix_rank(m: CMatrix) -> int:
+    """Numerical rank at relative tolerance RANK_TOL."""
+    count, _ = nullity(m)
     return m.shape[1] - count
 
 

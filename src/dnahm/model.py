@@ -175,7 +175,7 @@ class BAResiduals:
         return max((*self.evolution, *self.metric), default=0.0)
 
 
-def from_braam_austin(ba: BAChain, tol: float = linalg.RANK_TOL) -> DNChain:
+def from_braam_austin(ba: BAChain) -> DNChain:
     """Convert a Braam-Austin chain to the complexified (A, B, D, P+-) form.
 
     B is reconstructed from the right-link expression at every site that has
@@ -185,7 +185,7 @@ def from_braam_austin(ba: BAChain, tol: float = linalg.RANK_TOL) -> DNChain:
     """
     if not len(ba.gammas):
         raise ChainTooShort("B cannot be reconstructed without at least one link")
-    linalg.require_invertible(ba.gammas, tol, SingularGamma)
+    linalg.require_invertible(ba.gammas, error=SingularGamma)
     g, g_dag = ba.gammas, dagger(ba.gammas)
     a, d = -ba.betas, dagger(ba.betas)
     b_right = -g @ g_dag + a[:-1] @ d[:-1]
@@ -194,17 +194,18 @@ def from_braam_austin(ba: BAChain, tol: float = linalg.RANK_TOL) -> DNChain:
     return DNChain(k=ba.k, A=a, B=b, D=d, Pplus=g_dag, Pminus=-g, origin=ba.origin)
 
 
-def to_braam_austin(chain: DNChain, tol: float = 1e-9) -> BAChain:
+def to_braam_austin(chain: DNChain) -> BAChain:
     """Convert back to Braam-Austin variables.
 
-    Requires the reality pattern D = -A*, P+ = -(P-)* within tol (relative);
-    raises NotRealityCompatible with the worst deviation otherwise.
+    Requires the reality pattern D = -A*, P+ = -(P-)* within 1e-9 relative to
+    the largest entry of A, D, P+ and P- (or 1); raises NotRealityCompatible
+    with the worst deviation otherwise.
     """
     deviation = max(
         max_abs(chain.D + dagger(chain.A)), max_abs(chain.Pplus + dagger(chain.Pminus))
     )
     scale = max(1.0, *(max_abs(m) for m in (chain.A, chain.D, chain.Pplus, chain.Pminus)))
-    if deviation > tol * scale:
+    if deviation > 1e-9 * scale:
         raise NotRealityCompatible(deviation)
     return BAChain(k=chain.k, betas=-chain.A, gammas=-chain.Pminus, origin=chain.r0)
 
@@ -260,9 +261,7 @@ def ba_residuals(ba: BAChain) -> BAResiduals:
     return BAResiduals(evolution=tuple(evolution.tolist()), metric=tuple(metric.tolist()))
 
 
-def apply_gauge(
-    chain: DNChain, gauges: Sequence[CMatrix], tol: float = linalg.RANK_TOL
-) -> DNChain:
+def apply_gauge(chain: DNChain, gauges: Sequence[CMatrix]) -> DNChain:
     """Act by per-site invertible matrices g_r, given as a sequence or a stack.
 
     (A, B, D) transform by conjugation, P+ on link r by g_{r+1} P+ g_r^{-1}
@@ -271,7 +270,7 @@ def apply_gauge(
     g = np.asarray(gauges)
     if g.shape != chain.A.shape:
         raise DimensionMismatch("need one k x k gauge matrix per site")
-    linalg.require_invertible(g, tol, SingularGauge)
+    linalg.require_invertible(g, error=SingularGauge)
     inv = np.linalg.inv(g)
     return DNChain(
         k=chain.k,

@@ -207,10 +207,11 @@ def pencil(A: CMatrix, B: CMatrix, D: CMatrix) -> Callable[[complex, complex], C
 
 
 def pencil_at_curve_point(
-    A: CMatrix, B: CMatrix, D: CMatrix, point: CurvePoint, on_curve_tol: float
+    A: CMatrix, B: CMatrix, D: CMatrix, point: CurvePoint
 ) -> tuple[CMatrix, float]:
     """M at a curve point and the natural magnitude of its terms, |eta zeta| ||A||
-    + |eta| ||B|| + |zeta| + ||D||; raises PointNotOnCurve if |F| is too large.
+    + |eta| ||B|| + |zeta| + ||D||; raises PointNotOnCurve if |F| exceeds 1e-6
+    times the surface's local magnitude (or 1).
 
     Singular values measured against that scale, not only sigma_max, keep a
     rank decision meaningful when M itself is nearly zero (k = 1).
@@ -218,7 +219,7 @@ def pencil_at_curve_point(
     eta, zeta = point.eta, point.zeta
     surface = char_surface(A, B, D)
     residual = abs(surface.evaluate(eta, zeta))
-    if residual > on_curve_tol * max(1.0, surface.magnitude(eta, zeta)):
+    if residual > 1e-6 * max(1.0, surface.magnitude(eta, zeta)):
         raise PointNotOnCurve(f"|F| = {residual:.3e} at ({eta}, {zeta})")
     scale = abs(eta * zeta) * max_abs(A) + abs(eta) * max_abs(B) + abs(zeta) + max_abs(D)
     return pencil(A, B, D)(eta, zeta), scale
@@ -234,6 +235,8 @@ def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
     A, B, D = (np.asarray(m) for m in (A, B, D))
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.shape == B.shape == D.shape:
         raise DimensionMismatch("A, B, D must be equal-size square matrices or stacks of them")
+    if not all(np.isfinite(m).all() for m in (A, B, D)):
+        raise DimensionMismatch("matrix entries must be finite")
     k = A.shape[-1]
     stacked = A.ndim == 3
     a, b, d = (m if stacked else m[None] for m in (A, B, D))
@@ -286,28 +289,23 @@ def zeta_slice_roots(surface: SpectralSurface, eta: complex) -> np.ndarray:
     return linalg.poly_roots(coeffs[0])
 
 
-def curve_samples(
-    surface: SpectralSurface,
-    n_eta: int,
-    radius: float = 1.0,
-    residual_tol: float = 1e-8,
-) -> list[CurvePoint]:
-    """Sample the curve over n_eta values of eta on a circle.
+def curve_samples(surface: SpectralSurface, n_eta: int) -> list[CurvePoint]:
+    """Sample the curve over the n_eta-th roots of unity in eta.
 
     For each eta the k roots of the zeta-slice polynomial are returned;
-    every point satisfies |F| <= residual_tol times the local magnitude.
-    Degenerate slices are skipped (the returned list is shorter) and their
-    count logged as a warning. All slices are root-solved by one stacked
-    ``poly_roots`` call; a request over ``MAX_CURVE_ELEMENTS`` raises
-    TooManyPoints before anything is allocated.
+    every point satisfies |F| <= 1e-8 times the local magnitude, else
+    NoConvergence is raised. Degenerate slices are skipped (the returned
+    list is shorter) and their count logged as a warning. All slices are
+    root-solved by one stacked ``poly_roots`` call; a request over
+    ``MAX_CURVE_ELEMENTS`` raises TooManyPoints before anything is allocated.
     """
     _require_budget(n_eta, surface.k, "curve_samples")
-    etas = _unity_circle(np.array([radius]), n_eta)
+    etas = _unity_roots(n_eta)
     coeffs, degenerate = _zeta_slices(surface, etas)
     eta = np.repeat(etas[~degenerate], surface.k)
     zeta = linalg.poly_roots(coeffs[~degenerate]).ravel()
     residual = np.abs(_evaluate(surface.c, eta, zeta))
-    failed = np.flatnonzero(residual > residual_tol * _magnitude(surface.c, eta, zeta))
+    failed = np.flatnonzero(residual > 1e-8 * _magnitude(surface.c, eta, zeta))
     if failed.size:
         i = failed[0]
         raise NoConvergence(
@@ -318,42 +316,35 @@ def curve_samples(
     return list(map(CurvePoint, eta.tolist(), zeta.tolist()))
 
 
-def smoothness_report(
-    surface: SpectralSurface,
-    samples: Sequence[CurvePoint],
-    flag_tol: float = 1e-6,
-) -> SmoothnessReport:
+def smoothness_report(surface: SpectralSurface, samples: Sequence[CurvePoint]) -> SmoothnessReport:
     """Gradient-vanishing scan: flags samples where dF is suspiciously small.
 
     A vanishing gradient at a curve point marks it singular (a node of a
-    reducible curve, for instance). Scale is the natural magnitude bound of
-    the gradient at the point: the gradient of the grid |c| at |eta|, |zeta|,
-    summed over both variables.
+    reducible curve, for instance). A sample is flagged when |dF| is below
+    1e-6 times the natural magnitude bound of the gradient there (or 1): the
+    gradient of the grid |c| at |eta|, |zeta|, summed over both variables.
     """
     coords = np.array(list(map(attrgetter("eta", "zeta"), samples)), dtype=np.complex128)
     eta, zeta = coords.reshape(-1, 2).T
     ge, gz = _gradient(surface.c, eta, zeta)
     gnorm = np.hypot(np.abs(ge), np.abs(gz))
     se, sz = _gradient(np.abs(surface.c), np.abs(eta), np.abs(zeta))
-    flagged = gnorm < flag_tol * np.maximum(1.0, se + sz)
+    flagged = gnorm < 1e-6 * np.maximum(1.0, se + sz)
     return SmoothnessReport(
         min_gradient=float(gnorm.min()) if gnorm.size else 0.0,
         flagged=tuple(compress(samples, flagged)),
     )
 
 
-def cokernel_nullity(
-    A: CMatrix,
-    B: CMatrix,
-    D: CMatrix,
-    point: CurvePoint,
-    tol: float = linalg.RANK_TOL,
-    on_curve_tol: float = 1e-6,
-) -> int:
-    """Nullity of M(eta, zeta) at a curve point; 1 at smooth points."""
-    m, m_scale = pencil_at_curve_point(A, B, D, point, on_curve_tol)
+def cokernel_nullity(A: CMatrix, B: CMatrix, D: CMatrix, point: CurvePoint) -> int:
+    """Nullity of M(eta, zeta) at a curve point; 1 at smooth points.
+
+    Counts singular values at or below RANK_TOL times the larger of sigma_max
+    and the scale from ``pencil_at_curve_point``.
+    """
+    m, m_scale = pencil_at_curve_point(A, B, D, point)
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s <= tol * max(float(s[0]), m_scale)))
+    return int(np.count_nonzero(s <= linalg.RANK_TOL * max(float(s[0]), m_scale)))
 
 
 def antidiagonal_clearance(

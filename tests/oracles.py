@@ -391,11 +391,11 @@ def chain_from_sites(k, sites, links) -> DNChain:
     )
 
 
-def from_braam_austin(ba, tol=linalg.RANK_TOL):
+def from_braam_austin(ba):
     if not len(ba.gammas):
         raise ChainTooShort("B cannot be reconstructed without at least one link")
     for g in ba.gammas:
-        linalg.require_invertible(g, tol, SingularGamma)
+        linalg.require_invertible(g, error=SingularGamma)
     n = len(ba.betas)
     sites = []
     for j, beta in enumerate(ba.betas):
@@ -462,11 +462,11 @@ def ba_residuals(ba):
     return BAResiduals(evolution=evolution, metric=tuple(metric))
 
 
-def apply_gauge(chain, gauges, tol=linalg.RANK_TOL):
+def apply_gauge(chain, gauges):
     if len(gauges) != len(chain.sites):
         raise DimensionMismatch("need one gauge matrix per site")
     for g in gauges:
-        linalg.require_invertible(np.asarray(g, dtype=complex), tol, SingularGauge)
+        linalg.require_invertible(np.asarray(g, dtype=complex), error=SingularGauge)
     inv = [np.linalg.inv(g) for g in gauges]
     sites = tuple(
         DNSite(
@@ -553,11 +553,11 @@ def drift_series(chain):
     ]
 
 
-def boundary_rank_check(chain, tol=1e-9):
+def boundary_rank_check(chain):
     first, last = chain.sites[0], chain.sites[-1]
     return BoundaryRanks(
-        left=matrix_rank(first.B - first.D @ first.A, tol),
-        right=matrix_rank(last.B - last.A @ last.D, tol),
+        left=matrix_rank(first.B - first.D @ first.A),
+        right=matrix_rank(last.B - last.A @ last.D),
     )
 
 

@@ -395,6 +395,18 @@ class TestContinuumCommand:
         assert doc["error"] == "ValueError" and message in doc["message"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_window_too_small_exit_2_before_integrating(self, tmp_path, capsys, monkeypatch):
+        def integrate(*args):
+            raise AssertionError("integrated before the window check")
+
+        monkeypatch.setattr(dnahm.continuum, "integrate_nahm", integrate)
+        assert main(["continuum", "--h", "0.5", "--out", str(tmp_path / "t.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc == {"error": "ValueError", "message": "window too small for this h"}
+        assert list(tmp_path.iterdir()) == []
+
     def test_flow_blow_up_is_typed_exit_2(self, tmp_path, capsys):
         # random_skew_triple keeps its scale at every k; at k = 40 the flow
         # has a pole inside the integration range [0, 1.12]

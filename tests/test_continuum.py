@@ -374,3 +374,16 @@ class TestResidualScaling:
         for bad in ([float("inf"), 0.02], [0.04, float("nan")], [0.04, 0.0]):
             with pytest.raises(ValueError, match="finite and positive"):
                 dnahm.residual_scaling(dnahm.euler_top_triple(), bad)
+
+    def test_window_too_small_refused_before_integrating(self, monkeypatch):
+        # the window [0, 1] holds floor(1 / (2h)) sites: 3 at h = 0.16, 2 at 0.17
+        (row,) = dnahm.residual_scaling(dnahm.euler_top_triple(), [0.16], rk_steps=100)
+        assert row.h == 0.16
+
+        def integrate(*args):
+            raise AssertionError("integrated before the window check")
+
+        monkeypatch.setattr(dnahm.continuum, "integrate_nahm", integrate)
+        for h_list in ([0.17], [0.5, 0.01]):
+            with pytest.raises(ValueError, match="window too small"):
+                dnahm.residual_scaling(dnahm.euler_top_triple(), h_list)

@@ -255,6 +255,25 @@ class TestStackedSurface:
         with pytest.raises(dnahm.errors.DimensionMismatch):
             dnahm.char_surface(a[:, :, :1], b[:, :, :1], d[:, :, :1])
 
+    @pytest.mark.parametrize("field", range(3))
+    def test_non_finite_entry_refused(self, field):
+        # a NaN would give a grid of NaNs that passes the normalization check
+        triple = [m[0] for m in random_stack(np.random.default_rng(52), 2, 1)]
+        triple[field][1, 0] = np.nan
+        with pytest.raises(dnahm.errors.DimensionMismatch, match="must be finite"):
+            dnahm.char_surface(*triple)
+
+    def test_non_finite_site_of_stack_refused_before_any_det(self, monkeypatch):
+        a, b, d = random_stack(np.random.default_rng(53), 3, 5)
+        b[3, 2, 2] = np.nan
+
+        def det(m):
+            raise AssertionError("det ran on a non-finite stack")
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        with pytest.raises(dnahm.errors.DimensionMismatch, match="must be finite"):
+            dnahm.char_surface(a, b, d)
+
     def test_one_bad_normalization_site_raises(self):
         # a rank-1 A of size 1e8 cancels to O(1) rounding in every node's
         # determinant, far above 1e-12 of its coefficients
