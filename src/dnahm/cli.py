@@ -8,6 +8,7 @@ nonzero exit. Every command is deterministic given identical flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -284,6 +285,7 @@ def cmd_continuum(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dnahm",
@@ -295,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="write the trigonometric charge-2 chain")
     p.add_argument("--p", type=float, required=True, help="half-integer mass (2p a positive integer)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("evolve", help="run the discrete-time evolution from a seed")
     p.add_argument("--in", dest="infile", default=None, help="chain/seed document (ba or dn form)")
@@ -306,14 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backward", action="store_true")
     p.add_argument("--tol", type=_nonnegative_float, default=evolution.BREAKDOWN_TOL)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("verify", help="measure all equation residuals and report pass/fail")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--metric", default=None, help="metric document for the reality check")
     p.add_argument("--tol", type=_nonnegative_float, default=1e-9)
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectral", help="per-site spectral surfaces, drift, curve diagnostics")
     p.add_argument("--in", dest="infile", required=True)
@@ -321,15 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift", default=None, help="write per-site drift CSV here")
     p.add_argument("--samples", type=_nonnegative_int, default=0, help="sample the curve at this many eta values (0: skip)")
     p.add_argument("--antidiagonal", type=_nonnegative_int, default=0, help="anti-diagonal clearance sample count (0: skip)")
-    p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("continuum", help="first-order scaling table of the embedding residuals")
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--h", required=True, help="comma-separated decreasing spacings")
-    p.add_argument("--steps", type=_positive_int, default=2000, help="integrator steps")
+    p.add_argument("--steps", type=_positive_int, default=1, help="RK4 steps, used when "
+                   "more than the grid rule's: spacing <= min h / 10 over [0, 1 + 3 max h]")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_continuum)
 
     return parser
 
@@ -340,7 +338,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         return _fail(2, error="UsageError", message=str(exc))
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_<name> attribute is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except DnahmError as exc:  # input the library refused: typed, exit 2
         return _fail(2, error=type(exc).__name__, message=str(exc))
     except OSError as exc:

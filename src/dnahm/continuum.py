@@ -98,7 +98,7 @@ class NahmTrajectory:
         own derivatives there, so the interpolation error is O(step^4) like
         RK4's. An O(step^2) linear interpolation error is as large as the
         embedded residuals that ``residual_scaling`` tabulates when they are
-        near 1e-8 (up to 78% of them at its default 2000 steps). Raises
+        near 1e-8 (up to 78% of them at 2000 steps over [0, 1.12]). Raises
         RangeNotCovered if any z lies outside [z0, z1] or is not a number.
         """
         zs = np.asarray(zs, dtype=float)
@@ -296,14 +296,14 @@ def embedded_residuals(trajectory: NahmTrajectory, h: float) -> ScalingRow:
 
 
 def residual_scaling(
-    initial: NahmTriple, h_list: list[float], rk_steps: int = 2000
+    initial: NahmTriple, h_list: list[float], rk_steps: int = 1
 ) -> list[ScalingRow]:
     """Residual table over a decreasing list of spacings h.
 
-    Integrates once on a grid of node spacing at most min(h)/10, and at
-    least rk_steps steps, then embeds over the window [0, 1] and measures at
-    each h. On generic non-commuting data successive rows halve. A spacing
-    whose window holds fewer than 3 sites is refused before integrating.
+    Integrates RK4 once over [0, 1 + 3 max(h)] in ceil(10 span / min(h))
+    steps (node spacing <= min(h)/10), or rk_steps if more, then embeds over
+    the window [0, 1] and measures at each h; on generic non-commuting data
+    rows halve. A spacing with under 3 window sites is refused before RK4.
     """
     if not h_list or not all(0 < h < np.inf for h in h_list):
         raise ValueError("h_list must be finite and positive")

@@ -123,8 +123,7 @@ def evolve(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    linalg.require_tolerance(tol)
     gamma0, beta0 = cmatrix(seed[0]), cmatrix(seed[1])
     linalg.require_invertible(gamma0, error=SingularGamma)
     k = gamma0.shape[0]

@@ -10,6 +10,8 @@ checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -67,13 +69,22 @@ def _hermitian_part(m: CMatrix, tol: float) -> CMatrix:
     return (m + dagger(m)) / 2.0
 
 
+def require_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not a finite number >= 0 with a ValueError:
+    every comparison against NaN reads False, so a NaN would pass any check."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+
+
 def hermitian_eig(h: CMatrix, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, CMatrix]:
     """Eigendecompose a Hermitian matrix.
 
     Returns (eigenvalues ascending, U) with h @ U = U @ diag(eigenvalues)
-    and U unitary. Raises NotHermitian if the symmetry check fails and
-    NoConvergence if the underlying iteration gives up.
+    and U unitary. Raises NotHermitian if the symmetry check fails,
+    NoConvergence if the underlying iteration gives up, and ValueError for
+    a tol that is not a finite number >= 0.
     """
+    require_tolerance(tol)
     hs = _hermitian_part(h, tol)
     try:
         lam, u = np.linalg.eigh(hs)
@@ -87,7 +98,8 @@ def positive_sqrt(h: CMatrix, tol: float = SYMMETRY_TOL) -> CMatrix:
 
     One eigendecomposition h = U diag(lambda) U* gives U diag(sqrt(lambda)) U*.
     Raises NotPositiveDefinite (carrying lambda_min) when the smallest
-    eigenvalue is at or below tol relative to the matrix magnitude, 1 + |h|.
+    eigenvalue is at or below tol relative to the matrix magnitude, 1 + |h|,
+    and ValueError for a tol that is not a finite number >= 0.
     """
     lam, u = hermitian_eig(h, tol)
     if lam[0] <= tol * (1.0 + max_abs(h)):
@@ -127,7 +139,9 @@ def nullity(m: CMatrix, tol: float = RANK_TOL) -> tuple[int, CMatrix]:
 
     Accepts any rectangular matrix. Counts singular values at or below
     tol * sigma_max; the basis columns satisfy ||m @ basis|| <= tol * sigma_max.
+    Raises ValueError for a tol that is not a finite number >= 0.
     """
+    require_tolerance(tol)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
     _, s, vh = np.linalg.svd(m)

@@ -55,6 +55,8 @@ class SpectralSurface:
     def __post_init__(self):
         if self.c.shape != (self.k + 1, self.k + 1):
             raise DimensionMismatch(f"coefficient grid must be {self.k + 1} square")
+        if not np.isfinite(self.c).all():
+            raise DimensionMismatch("coefficient grid entries must be finite")
         if abs(self.c[0, self.k] - 1.0) > 1e-9 * (1.0 + max_abs(self.c)):
             raise DimensionMismatch("surface normalization c[0][k] = 1 violated")
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and serialization."""
 
+import argparse
 import json
 import tracemalloc
 
@@ -503,3 +504,33 @@ class TestUsageErrors:
             main(argv)
         assert info.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_handler_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # a benchmark tracer rebinds cli.cmd_* after the first call: the
+        # rebound attribute must be the one the next call runs
+        chain_path = tmp_path / "trig.json"
+        assert main(["example", "--p", "2", "--out", str(chain_path)]) == 0
+        argv = ["verify", "--in", str(chain_path), "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(dnahm.cli, "cmd_verify", lambda args: seen.append(args.infile) or 7)
+        assert main(argv) == 7
+        assert seen == [str(chain_path)]
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kwargs):
+            built.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        dnahm.cli.build_parser.cache_clear()
+        out = str(tmp_path / "trig.json")
+        assert main(["example", "--p", "1", "--out", out]) == 0
+        assert main(["verify", "--in", out, "--report", str(tmp_path / "r.json")]) == 0
+        assert main(["nope"]) == 2
+        assert built == ["dnahm"]

@@ -321,11 +321,12 @@ class TestEmbed:
     @pytest.mark.parametrize("k, seed", [(2, 805021), (2, 2020), (3, 41)])
     def test_residuals_independent_of_grid_alignment(self, k, seed):
         # 2240 steps over the span 1.12 put every embedding node on the RK4
-        # grid; the default 2000 put them between grid nodes, where the
-        # interpolation error (O(step^4) for cubic Hermite) must stay far
-        # below residuals of order 1e-8. Linear interpolation missed by up to 78%.
+        # grid, and so does the default 1120; 2000 put them between grid
+        # nodes, where the interpolation error (O(step^4) for cubic Hermite)
+        # must stay far below residuals of order 1e-8. Linear interpolation
+        # missed by up to 78%.
         triple = dnahm.random_skew_triple(k, seed)
-        off_grid = dnahm.residual_scaling(triple, [0.04, 0.02, 0.01])
+        off_grid = dnahm.residual_scaling(triple, [0.04, 0.02, 0.01], rk_steps=2000)
         on_grid = dnahm.residual_scaling(triple, [0.04, 0.02, 0.01], rk_steps=2240)
         for a, b in zip(off_grid, on_grid):
             assert a.r_evolution == pytest.approx(b.r_evolution, rel=1e-5)
@@ -365,6 +366,45 @@ class TestResidualScaling:
         floor = int(np.ceil(10.0 * (1.0 + 3.0 * 0.04) / 0.02))
         coarse = dnahm.residual_scaling(triple, [0.04, 0.02], rk_steps=200)
         assert coarse == dnahm.residual_scaling(triple, [0.04, 0.02], rk_steps=floor)
+
+    @pytest.mark.parametrize(
+        "h_list, options, expected",
+        # ceil(10 * (1 + 3 * 0.04) / min h) steps unless rk_steps asks for more
+        [([0.04, 0.02, 0.01], {}, 1120), ([0.04, 0.02, 0.01, 0.005], {}, 2240),
+         ([0.04, 0.02, 0.01], {"rk_steps": 3000}, 3000)],
+    )
+    def test_default_grid_is_the_spacing_floor(self, h_list, options, expected, monkeypatch):
+        calls = []
+        integrate = dnahm.continuum.integrate_nahm
+
+        def counting(initial, z0, z1, n_steps):
+            calls.append(n_steps)
+            return integrate(initial, z0, z1, n_steps)
+
+        monkeypatch.setattr(dnahm.continuum, "integrate_nahm", counting)
+        dnahm.residual_scaling(dnahm.random_skew_triple(2, seed=1), h_list, **options)
+        assert calls == [expected]
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("h_list", [[0.16, 0.08], [0.04, 0.02, 0.01]])
+    def test_default_grid_matches_a_refined_one(self, k, h_list):
+        # The tightest reference tolerance of the benchmark's continuum check
+        # is 1e-3 of R; the default grid was measured within 2.2e-8 of a
+        # 16x-refined one, the rounding of residuals near 1e-6 summed at gamma ~ 1/(2h).
+        triple = dnahm.random_skew_triple(k, seed=0)
+        floor = int(np.ceil(10.0 * (1.0 + 3.0 * h_list[0]) / h_list[-1]))
+        rows = dnahm.residual_scaling(triple, h_list)
+        fine = dnahm.residual_scaling(triple, h_list, rk_steps=16 * floor)
+        for a, b in zip(rows, fine):
+            assert a.r_evolution == pytest.approx(b.r_evolution, rel=1e-6)
+            assert a.r_metric == pytest.approx(b.r_metric, rel=1e-6)
+
+        def in_band(table):
+            return [0.4 <= cur / prev <= 0.6 for cur, prev in (
+                (table[-1].r_evolution, table[-2].r_evolution),
+                (table[-1].r_metric, table[-2].r_metric))]
+
+        assert in_band(rows) == in_band(fine)
 
     def test_h_list_validation(self):
         with pytest.raises(ValueError):

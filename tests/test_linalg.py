@@ -54,6 +54,13 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             dnahm.hermitian_eig(dnahm.cmatrix([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        # a symmetry test against tol = nan reads False, which would hand this
+        # non-Hermitian matrix the eigenvalues of its Hermitian part
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            dnahm.hermitian_eig(dnahm.cmatrix([[1.0, 5.0], [0.0, 1.0]]), tol=tol)
+
     def test_residual_unitarity_and_spectral_sums(self):
         rng = np.random.default_rng(0)
         for k in (2, 3, 5, 8):
@@ -107,6 +114,12 @@ class TestPositiveSqrt:
                 root = dnahm.positive_sqrt(h)
                 assert dnahm.max_abs(root - root.conj().T) <= 1e-12 * (1 + dnahm.max_abs(root))
                 assert dnahm.max_abs(root @ root - h) <= 1e-10 * (1 + dnahm.max_abs(h))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        # a definiteness test against tol = nan reads False: sqrt would meet lambda = -1
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            dnahm.positive_sqrt(dnahm.cmatrix(np.diag([1.0, -1.0])), tol=tol)
 
     def test_not_positive_definite_carries_lambda_min(self):
         with pytest.raises(NotPositiveDefinite) as err:
@@ -183,6 +196,12 @@ class TestNullity:
     def test_identity(self):
         count, _ = dnahm.nullity(dnahm.cmatrix(np.eye(3)))
         assert count == 0
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        # no singular value compares above tol = nan: the identity would get nullity 3
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            dnahm.nullity(dnahm.cmatrix(np.eye(3)), tol=tol)
 
     def test_rank_one_symmetric(self):
         m = dnahm.cmatrix([[1.0, 1.0], [1.0, 1.0]])

@@ -12,7 +12,13 @@ from numpy.testing import assert_allclose
 
 import dnahm
 from dnahm.cli import main
-from dnahm.errors import ChainTooShort, NoConvergence, PointNotOnCurve, TooManyPoints
+from dnahm.errors import (
+    ChainTooShort,
+    DimensionMismatch,
+    NoConvergence,
+    PointNotOnCurve,
+    TooManyPoints,
+)
 
 import helpers
 import oracles
@@ -38,6 +44,15 @@ class TestCharSurface:
         expected = np.zeros((3, 3))
         expected[0, 2] = 1.0
         assert_allclose(s.c, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_surface_refuses_non_finite_coefficients(self, entry):
+        # (0, 1) is the normalization entry c[0][k]: a normalization test
+        # against NaN reads False, and curve_samples would end in numpy's LinAlgError
+        c = np.array([[0.5, 1.0], [0.0, 0.0]], dtype=complex)
+        c[entry] = np.nan
+        with pytest.raises(DimensionMismatch, match="must be finite"):
+            dnahm.SpectralSurface(k=1, c=c)
 
     def test_trig_curve(self):
         chain, _ = dnahm.trig_solution(1)
