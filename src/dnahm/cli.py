@@ -99,9 +99,7 @@ def _evolve_seed(args):
 def cmd_evolve(args) -> int:
     if (args.infile is None) == (args.random_k is None):
         return _fail(2, error="UsageError", message="give exactly one of --in or --random-k")
-    chain, breakdown_at = evolution.evolve(
-        _evolve_seed(args), args.steps, tol=args.tol, backward=args.backward
-    )
+    chain, breakdown_at = evolution.evolve(_evolve_seed(args), args.steps, backward=args.backward)
     io.save_json(args.out, io.chain_to_document(chain))
     if breakdown_at is not None:
         return _fail(
@@ -305,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spread", type=_nonnegative_float, default=0.3, help="amplitude for --random-k")
     p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--backward", action="store_true")
-    p.add_argument("--tol", type=_nonnegative_float, default=evolution.BREAKDOWN_TOL)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="measure all equation residuals and report pass/fail")

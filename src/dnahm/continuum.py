@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, FlowBlowUp, RangeNotCovered
 from .linalg import CMatrix, cmatrix, dagger
 from .model import BAChain
-from .spectral import _unity_det_coeffs
+from .spectral import bivariate_coeffs
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,10 @@ def _lax_coeffs(nodes: np.ndarray) -> np.ndarray:
     a0, a1, a2 = t1 + 1j * t2, 2j * t3, t1 - 1j * t2
     eye = np.eye(k, dtype=np.complex128)
 
-    def matrix_at(eta: complex, zeta: complex) -> np.ndarray:
-        return eta * eye - (a0 - a1 * zeta + a2 * zeta * zeta)
+    def dets(eta: complex, zeta: complex) -> np.ndarray:
+        return np.linalg.det(eta * eye - (a0 - a1 * zeta + a2 * zeta * zeta))
 
-    return _unity_det_coeffs(matrix_at, len(nodes), k, 2 * k)
+    return bivariate_coeffs(dets, k, 2 * k)
 
 
 def lax_polynomial_coeffs(triple: NahmTriple) -> np.ndarray:

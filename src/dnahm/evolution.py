@@ -9,17 +9,20 @@ If H fails to be positive-definite the evolution cannot be continued; that
 is a breakdown, not an error. So is an H that overflows the doubles; its
 lambda_min is reported as NaN.
 
-Breakdown is lambda_min(H) <= tol * ||H||_max (max-abs entry). The default,
-BREAKDOWN_TOL = 6e-8, comes from the stated long-chain accuracy: evolving
-the closed-form charge-2 chain from its first link reproduces each gamma to
-delta = 1e-8 (p <= 590). At its rank-1 boundary lambda_min is exactly 0, and
-entry errors of at most delta in gamma and beta move it, to first order, by
-at most ||dH||_2 <= 2k (||gamma||_2 + 2 ||beta||_2) delta = 5.3e-8 ||H||_max
-(p >= 50), rounded up to 6e-8; interior steps keep lambda_min >= 0.33 ||H||_max.
+Breakdown is lambda_min(H) <= BREAKDOWN_TOL * ||H||_max (max-abs entry), one
+fixed rule with no per-call override. BREAKDOWN_TOL = 6e-8 comes from the
+stated long-chain accuracy: evolving the closed-form charge-2 chain from its
+first link reproduces each gamma to delta = 1e-8 (p <= 590). At its rank-1
+boundary lambda_min is exactly 0, and entry errors of at most delta in gamma
+and beta move it, to first order, by at most
+||dH||_2 <= 2k (||gamma||_2 + 2 ||beta||_2) delta = 5.3e-8 ||H||_max (p >= 50),
+rounded up to 6e-8; interior steps keep lambda_min >= 0.33 ||H||_max.
 Per-step rounding does not explain the boundary value: at p = 200 it is
 -1.9e-9 or +1.9e-10 by how the seed was gauged, and a 60-digit run of the
 recurrence from the same seed agrees, so its spread is the problem's
-conditioning of the seed's rounding.
+conditioning of the seed's rounding. A step that passes the rule has
+lambda_min seven orders above an eigensolve's rounding, so the square root
+that follows always sees a positive-definite H.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefinite, NotRealityCompatible, SingularGamma
+from .errors import NotRealityCompatible, SingularGamma
 from .linalg import CMatrix, cmatrix, dagger, max_abs
 from .model import BAChain
 
@@ -61,44 +64,41 @@ def _commutator_dag(beta: CMatrix) -> CMatrix:
     return dagger(beta) @ beta - beta @ dagger(beta)
 
 
-def _sqrt_step(h: CMatrix, tol: float) -> tuple[StepStatus, float, Optional[CMatrix]]:
+def _sqrt_step(h: CMatrix) -> tuple[StepStatus, float, Optional[CMatrix]]:
     hs = (h + dagger(h)) / 2.0
     scale = max_abs(hs)
     if not math.isfinite(scale):  # H overflowed the doubles
         return StepStatus.BREAKDOWN, math.nan, None
     lam_min = float(np.linalg.eigvalsh(hs)[0])
-    if lam_min <= tol * scale:
+    if lam_min <= BREAKDOWN_TOL * scale:
         return StepStatus.BREAKDOWN, lam_min, None
     # hs is exactly Hermitian, so positive_sqrt runs at tol = 0 (its floor,
-    # tol * (1 + |H|), would stop positive chains of small scale); its eigh can
-    # put a lam_min within rounding of 0 at 0 or below, if tol < ~eps lets it by
-    try:
-        return StepStatus.ADVANCED, lam_min, linalg.positive_sqrt(hs, tol=0.0)
-    except NotPositiveDefinite as exc:
-        return StepStatus.BREAKDOWN, exc.lambda_min, None
+    # tol * (1 + |H|), would stop positive chains of small scale)
+    return StepStatus.ADVANCED, lam_min, linalg.positive_sqrt(hs, tol=0.0)
 
 
-def step_forward(gamma_prev: CMatrix, beta_cur: CMatrix, tol: float = BREAKDOWN_TOL) -> StepOutcome:
-    """Advance one step: solve for the next gamma, then the next beta."""
+def step_forward(gamma_prev: CMatrix, beta_cur: CMatrix) -> StepOutcome:
+    """Advance one step: solve for the next gamma, then the next beta, unless H
+    meets the fixed breakdown rule (module docstring) or overflows."""
     linalg.require_invertible(gamma_prev, error=SingularGamma)
     h = dagger(gamma_prev) @ gamma_prev + _commutator_dag(beta_cur)
-    status, lam_min, gamma_next = _sqrt_step(h, tol)
+    status, lam_min, gamma_next = _sqrt_step(h)
     if status is StepStatus.BREAKDOWN:
         return StepOutcome(status, lam_min)
     beta_next = np.linalg.inv(gamma_next) @ beta_cur @ gamma_next
     return StepOutcome(status, lam_min, (cmatrix(gamma_next), cmatrix(beta_next)))
 
 
-def step_backward(gamma_next: CMatrix, beta_next: CMatrix, tol: float = BREAKDOWN_TOL) -> StepOutcome:
+def step_backward(gamma_next: CMatrix, beta_next: CMatrix) -> StepOutcome:
     """Invert a forward step: recover beta_cur, then the previous gamma.
 
     Returns produced = (gamma_prev, beta_cur). Composing with step_forward
-    is the identity on self-adjoint-gauge chains.
+    is the identity on self-adjoint-gauge chains. Breaks down as step_forward.
     """
     linalg.require_invertible(gamma_next, error=SingularGamma)
     beta_cur = gamma_next @ beta_next @ np.linalg.inv(gamma_next)
     h = gamma_next @ dagger(gamma_next) - _commutator_dag(beta_cur)
-    status, lam_min, gamma_prev = _sqrt_step(h, tol)
+    status, lam_min, gamma_prev = _sqrt_step(h)
     if status is StepStatus.BREAKDOWN:
         return StepOutcome(status, lam_min)
     return StepOutcome(status, lam_min, (cmatrix(gamma_prev), cmatrix(beta_cur)))
@@ -108,7 +108,6 @@ def step_backward(gamma_next: CMatrix, beta_next: CMatrix, tol: float = BREAKDOW
 def evolve(
     seed: tuple[CMatrix, CMatrix],
     n_steps: int,
-    tol: float = BREAKDOWN_TOL,
     backward: bool = False,
 ) -> tuple[BAChain, Optional[int]]:
     """Evolve a chain of up to n_steps links from a seed (gamma0, beta0).
@@ -123,7 +122,6 @@ def evolve(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    linalg.require_tolerance(tol)
     gamma0, beta0 = cmatrix(seed[0]), cmatrix(seed[1])
     linalg.require_invertible(gamma0, error=SingularGamma)
     k = gamma0.shape[0]
@@ -132,7 +130,7 @@ def evolve(
         gammas = [gamma0]
         betas = [beta0, cmatrix(np.linalg.inv(gamma0) @ beta0 @ gamma0)]
         for j in range(1, n_steps):
-            outcome = step_forward(gammas[j - 1], betas[j], tol)
+            outcome = step_forward(gammas[j - 1], betas[j])
             if outcome.status is StepStatus.BREAKDOWN:
                 return BAChain(k=k, betas=betas, gammas=gammas), j - 1
             gamma_next, beta_next = outcome.produced
@@ -147,7 +145,7 @@ def evolve(
     betas = [beta0]
     broke = False
     for _ in range(1, n_steps):
-        outcome = step_backward(gammas[0], betas[0], tol)
+        outcome = step_backward(gammas[0], betas[0])
         if outcome.status is StepStatus.BREAKDOWN:
             broke = True
             break

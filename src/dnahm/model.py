@@ -175,6 +175,13 @@ class BAResiduals:
         return max((*self.evolution, *self.metric), default=0.0)
 
 
+def _b_at_link_ends(A, D, pplus, pminus) -> tuple[np.ndarray, np.ndarray]:
+    """B at both end sites of every link r, as two (n - 1, k, k) stacks:
+    B_r = P-_{r+1} P+_r + A_r D_r at its left end and
+    B_{r+1} = P+_r P-_{r+1} + D_{r+1} A_{r+1} at its right end."""
+    return pminus @ pplus + A[:-1] @ D[:-1], pplus @ pminus + D[1:] @ A[1:]
+
+
 def from_braam_austin(ba: BAChain) -> DNChain:
     """Convert a Braam-Austin chain to the complexified (A, B, D, P+-) form.
 
@@ -186,12 +193,11 @@ def from_braam_austin(ba: BAChain) -> DNChain:
     if not len(ba.gammas):
         raise ChainTooShort("B cannot be reconstructed without at least one link")
     linalg.require_invertible(ba.gammas, error=SingularGamma)
-    g, g_dag = ba.gammas, dagger(ba.gammas)
+    pplus, pminus = dagger(ba.gammas), -ba.gammas
     a, d = -ba.betas, dagger(ba.betas)
-    b_right = -g @ g_dag + a[:-1] @ d[:-1]
-    b_last = -g_dag[-1] @ g[-1] + d[-1] @ a[-1]
-    b = np.concatenate((b_right, b_last[None]))
-    return DNChain(k=ba.k, A=a, B=b, D=d, Pplus=g_dag, Pminus=-g, origin=ba.origin)
+    b_left_end, b_right_end = _b_at_link_ends(a, d, pplus, pminus)
+    b = np.concatenate((b_left_end, b_right_end[-1:]))
+    return DNChain(k=ba.k, A=a, B=b, D=d, Pplus=pplus, Pminus=pminus, origin=ba.origin)
 
 
 def to_braam_austin(chain: DNChain) -> BAChain:
@@ -233,11 +239,12 @@ def reconstruct_B(
 def dn_residuals(chain: DNChain) -> list[LinkResiduals]:
     """Per-link residuals of the discrete Nahm equations."""
     A, B, D, pp, pm = chain.A, chain.B, chain.D, chain.Pplus, chain.Pminus
+    b_left_end, b_right_end = _b_at_link_ends(A, D, pp, pm)
     columns = (
         np.abs(pm @ A[1:] - A[:-1] @ pm).max(axis=(1, 2)),
         np.abs(pp @ D[:-1] - D[1:] @ pp).max(axis=(1, 2)),
-        np.abs(B[:-1] - (pm @ pp + A[:-1] @ D[:-1])).max(axis=(1, 2)),
-        np.abs(B[1:] - (pp @ pm + D[1:] @ A[1:])).max(axis=(1, 2)),
+        np.abs(B[:-1] - b_left_end).max(axis=(1, 2)),
+        np.abs(B[1:] - b_right_end).max(axis=(1, 2)),
     )
     rows = zip(*(c.tolist() for c in columns))
     return [LinkResiduals(chain.r0 + i, *row) for i, row in enumerate(rows)]

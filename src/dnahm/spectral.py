@@ -164,34 +164,20 @@ def _require_budget(points: int, k: int, what: str) -> None:
         )
 
 
-def bivariate_coeffs(f: Callable[[complex, complex], complex], deg1: int, deg2: int) -> np.ndarray:
+def bivariate_coeffs(
+    f: Callable[[complex, complex], complex | np.ndarray], deg1: int, deg2: int
+) -> np.ndarray:
     """Coefficient grid of a bivariate polynomial from point evaluations.
 
     Evaluates f on the (deg1+1) x (deg2+1) tensor grid of roots of unity and
     inverts the DFT in each variable. Exact (to rounding) whenever f is a
-    polynomial of bidegree at most (deg1, deg2).
+    polynomial of bidegree at most (deg1, deg2). An f that returns an (n,)
+    array, n polynomials evaluated at once, gives a C-contiguous
+    (n, deg1 + 1, deg2 + 1) stack of grids.
     """
     w1, w2 = _unity_roots(deg1 + 1), _unity_roots(deg2 + 1)
-    grid = np.array([[f(e, z) for z in w2] for e in w1])
-    return np.fft.fft2(grid) / grid.size
-
-
-def _unity_det_coeffs(
-    matrix_at: Callable[[complex, complex], np.ndarray], n: int, deg1: int, deg2: int
-) -> np.ndarray:
-    """Coefficient grids, shape (n, deg1 + 1, deg2 + 1), of det matrix_at(eta, zeta).
-
-    ``matrix_at`` gives an (n, k, k) stack of matrix polynomials at one node.
-    Their determinants are filled into a grid on the tensor product of the
-    (deg1 + 1)-th and (deg2 + 1)-th roots of unity, one determinant per node
-    batched over the stack, and the DFT is inverted in each variable: exact
-    (to rounding) for determinants of bidegree at most (deg1, deg2).
-    """
-    w1, w2 = _unity_roots(deg1 + 1), _unity_roots(deg2 + 1)
-    grid = np.empty((n, len(w1), len(w2)), dtype=np.complex128)
-    for i, eta in enumerate(w1):
-        for j, zeta in enumerate(w2):
-            grid[:, i, j] = np.linalg.det(matrix_at(eta, zeta))
+    grid = np.array([[f(e, z) for z in w2] for e in w1], dtype=np.complex128)
+    grid = np.ascontiguousarray(np.moveaxis(grid, (0, 1), (-2, -1)))
     return np.fft.fft2(grid) / (len(w1) * len(w2))
 
 
@@ -231,8 +217,9 @@ def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
     """Spectral surface of a site triple, or a tuple of them for stacked triples.
 
     A, B and D are k x k matrices, or (n, k, k) stacks of n site triples;
-    a stack gives a tuple of n surfaces. The coefficients come from
-    ``_unity_det_coeffs``, so the working memory is a few (n, k, k) arrays.
+    a stack gives a tuple of n surfaces. The coefficients come from one
+    ``bivariate_coeffs`` call whose f is a batched det over the stack, so
+    the working memory is a few (n, k, k) arrays.
     """
     A, B, D = (np.asarray(m) for m in (A, B, D))
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.shape == B.shape == D.shape:
@@ -242,7 +229,8 @@ def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
     k = A.shape[-1]
     stacked = A.ndim == 3
     a, b, d = (m if stacked else m[None] for m in (A, B, D))
-    c = _unity_det_coeffs(pencil(a, b, d), len(a), k, k)
+    m = pencil(a, b, d)
+    c = bivariate_coeffs(lambda eta, zeta: np.linalg.det(m(eta, zeta)), k, k)
     lost = np.abs(c[:, 0, k] - 1.0) > 1e-12 * (1.0 + np.abs(c).max(axis=(1, 2)))
     if lost.any():
         where = f" at stacked site {int(np.argmax(lost))}" if stacked else ""

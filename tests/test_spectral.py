@@ -75,13 +75,20 @@ class TestCharSurface:
         assert dnahm.max_abs(c0 - c1) < 1e-11 * (1 + dnahm.max_abs(c0))
 
     def test_matches_cofactor_expansion_oracle(self):
+        # the only check of the roots-of-unity DFT that does not go through it
         rng = np.random.default_rng(22)
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             for _ in range(10):
                 a, b, d = (helpers.random_cmatrix(rng, k) for _ in range(3))
                 ours = dnahm.char_surface(a, b, d).c
                 brute = oracles.char_surface_brute(np.asarray(a), np.asarray(b), np.asarray(d))
                 assert dnahm.max_abs(ours - brute) < 1e-12 * (1 + np.abs(brute).max())
+        a, b, d = (np.stack([helpers.random_cmatrix(rng, 3) for _ in range(5)]) for _ in range(3))
+        surfaces = dnahm.char_surface(a, b, d)
+        assert len(surfaces) == 5
+        for surface, ai, bi, di in zip(surfaces, a, b, d):
+            brute = oracles.char_surface_brute(ai, bi, di)
+            assert dnahm.max_abs(surface.c - brute) < 1e-12 * (1 + np.abs(brute).max())
 
 
 class TestInvarianceDrift:
