@@ -7,7 +7,10 @@ gamma is Hermitian positive-definite, the self-adjoint gauge), and the
 evolution equation then gives beta_{i+2} = gamma_{i+1}^{-1} beta_i gamma_{i+1}.
 If H fails to be positive-definite the evolution cannot be continued; that
 is a breakdown, not an error. So is an H that overflows the doubles; its
-lambda_min is reported as NaN.
+lambda_min is reported as NaN. step_backward inverts a forward step, and
+evolve runs either one as the same walk: each step reads the newest link and
+site and appends the next of each, and a backward walk is reversed once at
+its end into chain order.
 
 Breakdown is lambda_min(H) <= BREAKDOWN_TOL * ||H||_max (max-abs entry), one
 fixed rule with no per-call override. BREAKDOWN_TOL = 6e-8 comes from the
@@ -64,6 +67,17 @@ def _commutator_dag(beta: CMatrix) -> CMatrix:
     return dagger(beta) @ beta - beta @ dagger(beta)
 
 
+def _beta_forward(gamma: CMatrix, beta: CMatrix) -> np.ndarray:
+    """The evolution equation beta gamma = gamma beta' solved forward:
+    beta' = gamma^{-1} beta gamma, the site after the link from the one before."""
+    return np.linalg.inv(gamma) @ beta @ gamma
+
+
+def _beta_backward(gamma: CMatrix, beta_next: CMatrix) -> np.ndarray:
+    """The same equation solved backward: beta = gamma beta' gamma^{-1}."""
+    return gamma @ beta_next @ np.linalg.inv(gamma)
+
+
 def _sqrt_step(h: CMatrix) -> tuple[StepStatus, float, Optional[CMatrix]]:
     hs = (h + dagger(h)) / 2.0
     scale = max_abs(hs)
@@ -85,7 +99,7 @@ def step_forward(gamma_prev: CMatrix, beta_cur: CMatrix) -> StepOutcome:
     status, lam_min, gamma_next = _sqrt_step(h)
     if status is StepStatus.BREAKDOWN:
         return StepOutcome(status, lam_min)
-    beta_next = np.linalg.inv(gamma_next) @ beta_cur @ gamma_next
+    beta_next = _beta_forward(gamma_next, beta_cur)
     return StepOutcome(status, lam_min, (cmatrix(gamma_next), cmatrix(beta_next)))
 
 
@@ -96,7 +110,7 @@ def step_backward(gamma_next: CMatrix, beta_next: CMatrix) -> StepOutcome:
     is the identity on self-adjoint-gauge chains. Breaks down as step_forward.
     """
     linalg.require_invertible(gamma_next, error=SingularGamma)
-    beta_cur = gamma_next @ beta_next @ np.linalg.inv(gamma_next)
+    beta_cur = _beta_backward(gamma_next, beta_next)
     h = gamma_next @ dagger(gamma_next) - _commutator_dag(beta_cur)
     status, lam_min, gamma_prev = _sqrt_step(h)
     if status is StepStatus.BREAKDOWN:
@@ -126,35 +140,27 @@ def evolve(
     linalg.require_invertible(gamma0, error=SingularGamma)
     k = gamma0.shape[0]
 
-    if not backward:
-        gammas = [gamma0]
-        betas = [beta0, cmatrix(np.linalg.inv(gamma0) @ beta0 @ gamma0)]
-        for j in range(1, n_steps):
-            outcome = step_forward(gammas[j - 1], betas[j])
-            if outcome.status is StepStatus.BREAKDOWN:
-                return BAChain(k=k, betas=betas, gammas=gammas), j - 1
-            gamma_next, beta_next = outcome.produced
-            gammas.append(gamma_next)
-            betas.append(beta_next)
-        return BAChain(k=k, betas=betas, gammas=gammas), None
-
-    # Backward: the seed site is the right end. Each step produces the link
-    # to the left and the beta between the two leftmost links; the beta at
-    # the far left end is a single conjugation across the leftmost link.
+    # The lists hold links and sites in walk order. The site at the far end
+    # of a link is one conjugation across it: forward, for the seed link,
+    # before the walk; backward, for the last link, after it.
+    step = step_backward if backward else step_forward
     gammas = [gamma0]
-    betas = [beta0]
+    betas = [beta0] if backward else [beta0, cmatrix(_beta_forward(gamma0, beta0))]
     broke = False
     for _ in range(1, n_steps):
-        outcome = step_backward(gammas[0], betas[0])
+        outcome = step(gammas[-1], betas[-1])
         if outcome.status is StepStatus.BREAKDOWN:
             broke = True
             break
-        gamma_prev, beta_mid = outcome.produced
-        betas.insert(0, beta_mid)
-        gammas.insert(0, gamma_prev)
-    betas.insert(0, cmatrix(gammas[0] @ betas[0] @ np.linalg.inv(gammas[0])))
+        gamma, beta = outcome.produced
+        gammas.append(gamma)
+        betas.append(beta)
+    if not backward:
+        chain = BAChain(k=k, betas=betas, gammas=gammas)
+        return chain, (len(gammas) - 1 if broke else None)
+    betas.append(cmatrix(_beta_backward(gammas[-1], betas[-1])))
     origin = -len(gammas)
-    chain = BAChain(k=k, betas=betas, gammas=gammas, origin=origin)
+    chain = BAChain(k=k, betas=betas[::-1], gammas=gammas[::-1], origin=origin)
     return chain, (origin if broke else None)
 
 

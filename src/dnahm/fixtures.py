@@ -137,11 +137,9 @@ def random_reality_seed(
         angle = rng.uniform(0.0, 2.0 * np.pi, size=(k, k))
         beta = radius * np.exp(1j * angle)
         x = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0 * k)
-        gamma = cmatrix(np.eye(k) + current * (x @ dagger(x)))
-        # the first forward step conjugates beta across the seed link
-        beta1 = cmatrix(np.linalg.inv(gamma) @ beta @ gamma)
-        if evolution.step_forward(gamma, beta1).status is evolution.StepStatus.ADVANCED:
-            return gamma, cmatrix(beta)
+        gamma, beta = cmatrix(np.eye(k) + current * (x @ dagger(x))), cmatrix(beta)
+        if evolution.evolve((gamma, beta), 2)[1] is None:  # the first step advances
+            return gamma, beta
         current *= 0.7
     raise SeedExhausted(f"no positive seed after 100 retries (k={k}, seed={seed})")
 

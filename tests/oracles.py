@@ -19,7 +19,9 @@ boundary ranks), stand in for the library's (n, k, k) stacks and its
 batched whole-chain expressions. The per-point curve diagnostics (samples,
 slice roots, smoothness scan, anti-diagonal clearance) and the per-node Lax
 drift, one Python evaluation at a time, stand in for the library's batched
-evaluation path and its stacked determinant grid.
+evaluation path and its stacked determinant grid. The evolution's two stepping
+loops, one per direction, and a random seed probed by its own first forward
+step stand in for the library's one walk and the seed probed through it.
 """
 
 import json
@@ -30,6 +32,7 @@ import numpy as np
 
 from dnahm import linalg
 from dnahm.continuum import NahmTriple
+from dnahm.evolution import StepStatus, step_backward, step_forward
 from dnahm.errors import (
     ChainTooShort,
     DegenerateSlice,
@@ -40,6 +43,7 @@ from dnahm.errors import (
     NotPositiveDefinite,
     NotRealityCompatible,
     RangeNotCovered,
+    SeedExhausted,
     SingularGamma,
     SingularGauge,
 )
@@ -165,6 +169,68 @@ def step_spectrum_mp(gamma0, beta0, n_links, dps=60):
             gamma = h / mpmath.sqrt(a + d + 2 * root_det)
             beta = mpmath.inverse(gamma) * beta * gamma
         return steps
+
+
+# Evolution as two stepping loops: forward appends from the newest link and
+# site, backward inserts at the front from the oldest; each writes its own
+# conjugation across the end link. The library walks both ways in one loop.
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def evolve_two_loops(seed, n_steps, backward=False):
+    """evolution.evolve, its forward and backward walks as separate loops."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    gamma0, beta0 = cmatrix(seed[0]), cmatrix(seed[1])
+    linalg.require_invertible(gamma0, error=SingularGamma)
+    k = gamma0.shape[0]
+    if not backward:
+        gammas = [gamma0]
+        betas = [beta0, cmatrix(np.linalg.inv(gamma0) @ beta0 @ gamma0)]
+        for j in range(1, n_steps):
+            outcome = step_forward(gammas[j - 1], betas[j])
+            if outcome.status is StepStatus.BREAKDOWN:
+                return BAChain(k=k, betas=betas, gammas=gammas), j - 1
+            gamma_next, beta_next = outcome.produced
+            gammas.append(gamma_next)
+            betas.append(beta_next)
+        return BAChain(k=k, betas=betas, gammas=gammas), None
+    gammas = [gamma0]
+    betas = [beta0]
+    broke = False
+    for _ in range(1, n_steps):
+        outcome = step_backward(gammas[0], betas[0])
+        if outcome.status is StepStatus.BREAKDOWN:
+            broke = True
+            break
+        gamma_prev, beta_mid = outcome.produced
+        betas.insert(0, beta_mid)
+        gammas.insert(0, gamma_prev)
+    betas.insert(0, cmatrix(gammas[0] @ betas[0] @ np.linalg.inv(gammas[0])))
+    origin = -len(gammas)
+    chain = BAChain(k=k, betas=betas, gammas=gammas, origin=origin)
+    return chain, (origin if broke else None)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def random_reality_seed(k, seed, spread):
+    """fixtures.random_reality_seed with its first forward step written out:
+    its own conjugation of beta across the seed link, then one step_forward."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rng = np.random.default_rng(seed)
+    current = float(spread)
+    for _ in range(100):
+        radius = current * np.sqrt(rng.uniform(size=(k, k)))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=(k, k))
+        beta = radius * np.exp(1j * angle)
+        x = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0 * k)
+        gamma = cmatrix(np.eye(k) + current * (x @ dagger(x)))
+        beta1 = cmatrix(np.linalg.inv(gamma) @ beta @ gamma)
+        if step_forward(gamma, beta1).status is StepStatus.ADVANCED:
+            return gamma, cmatrix(beta)
+        current *= 0.7
+    raise SeedExhausted(f"no positive seed after 100 retries (k={k}, seed={seed})")
 
 
 def quadratic_roots(a, b, c):

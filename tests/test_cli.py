@@ -12,6 +12,7 @@ import dnahm.io as dio
 from dnahm.cli import main
 
 import helpers
+import oracles
 
 
 class TestSerialization:
@@ -37,17 +38,6 @@ class TestSerialization:
             dio.document_to_chain({"form": "dn"})
         with pytest.raises(dnahm.errors.FormatError):
             dio.document_to_chain({"form": "nope", "k": 1})
-        with pytest.raises(dnahm.errors.FormatError):
-            dio.matrix_from_pairs([[1.0, 2.0]])
-
-    def test_surface_and_metric_documents_round_trip(self):
-        chain, metric = dnahm.trig_solution(1)
-        surface = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
-        grid = json.loads(json.dumps(dio.surface_to_grid(surface)))
-        assert np.array_equal(dio.surface_from_grid(grid, 2).c, surface.c)
-        doc = json.loads(json.dumps(dio.metric_to_document(metric, 2)))
-        rebuilt = dio.metric_from_document(doc)
-        assert all(np.array_equal(a, b) for a, b in zip(metric, rebuilt))
 
 
 class TestExampleCommand:
@@ -303,7 +293,8 @@ class TestVerifyMetricErrors:
         chain_path, metric_path = tmp_path / "trig.json", tmp_path / "metric.json"
         main(["example", "--p", "2", "--out", str(chain_path)])  # 4 sites, k = 2
         metric = np.array(metric, dtype=complex)
-        dio.save_json(metric_path, dio.metric_to_document(metric, metric.shape[-1]))
+        dio.save_json(metric_path, {"k": metric.shape[-1],
+                                    "metric": [oracles.matrix_to_pairs(g) for g in metric]})
         capsys.readouterr()
         report = tmp_path / "report.json"
         message = typed_exit_2(["verify", "--in", str(chain_path), "--metric", str(metric_path),
@@ -332,7 +323,7 @@ class TestSpectralCommand:
         assert main(["spectral", "--in", str(chain_path), "--out", str(out),
                      "--drift", str(drift), "--samples", "8", "--antidiagonal", "8"]) == 0
         doc = json.loads(out.read_text())
-        c = dio.matrix_from_pairs(doc["surfaces"][0], "surface")
+        c = oracles.matrix_from_pairs(doc["surfaces"][0], "surface")
         assert c[1, 1] == pytest.approx(-np.sqrt(2), abs=1e-12)
         assert doc["antidiagonal_clearance"] > 0.5
         lines = drift.read_text().strip().splitlines()
@@ -437,7 +428,8 @@ class TestToleranceFlag:
     @pytest.mark.parametrize("command", ["evolve", "verify"])
     def test_non_finite_or_negative_tol_is_a_usage_error(self, command, value, tmp_path, capsys):
         # a chain that fails verification at any finite tolerance; every
-        # comparison with a NaN one is false, which would report "passed": true
+        # comparison with a NaN one is false, which would report "passed": true.
+        # evolve takes no --tol at all, so there it is refused as an unknown option
         chain, _ = dnahm.trig_solution(5)
         bad = helpers.replace_site(
             chain, 3, B=helpers.perturb_entry(chain.sites[3].B, 0, 0, 1e-3)
@@ -454,6 +446,14 @@ class TestToleranceFlag:
         assert len(lines) == 1
         diag = json.loads(lines[0])
         assert diag["error"] == "UsageError" and "--tol" in diag["message"]
+        assert not out.exists()
+
+    def test_evolve_takes_no_tol(self, tmp_path, capsys):
+        # evolve's breakdown rule is fixed, so even a valid --tol is an unknown option
+        out = tmp_path / "x.json"
+        message = typed_exit_2(["evolve", "--random-k", "2", "--seed", "1", "--steps", "5",
+                                "--out", str(out), "--tol", "0"], capsys, "UsageError")
+        assert "unrecognized arguments" in message
         assert not out.exists()
 
     def test_zero_tol_is_accepted(self, tmp_path):

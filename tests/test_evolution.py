@@ -292,3 +292,42 @@ class TestSeedFromTriple:
         assert bk is None
         for a, b in zip(tail.gammas, chain.gammas[4:]):
             assert dnahm.max_abs(a - b) < 1e-9
+
+
+def same_evolution(got, want):
+    """Equal bytes of betas and gammas, and equal origin and breakdown index."""
+    (chain, bk), (chain0, bk0) = got, want
+    return (bk == bk0 and chain.origin == chain0.origin
+            and np.array_equal(helpers.bits(chain.betas), helpers.bits(chain0.betas))
+            and np.array_equal(helpers.bits(chain.gammas), helpers.bits(chain0.gammas)))
+
+
+class TestOneWalk:
+    # evolve walks both ways in one loop and random_reality_seed probes its
+    # draw through evolve; both give the bytes of the two-loop oracle and of
+    # the seed that writes out its own first step, breakdowns included (a
+    # k = 1 step never breaks down: H = |gamma|^2)
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_random_seeds_both_directions(self, k):
+        broke = 0
+        for seed in range(3):
+            for spread in (0.002, 0.1, 0.3, 1.0):
+                pair = dnahm.random_reality_seed(k, seed, spread)
+                want = oracles.random_reality_seed(k, seed, spread)
+                assert all(np.array_equal(helpers.bits(a), helpers.bits(b))
+                           for a, b in zip(pair, want, strict=True))
+                for backward in (False, True):
+                    got = dnahm.evolve(pair, 30, backward=backward)
+                    assert same_evolution(got, oracles.evolve_two_loops(pair, 30, backward))
+                    broke += got[1] is not None
+        assert (broke > 0) == (k > 1)
+
+    @pytest.mark.parametrize("p", [10, 50])
+    def test_gauged_trig_both_directions(self, p):
+        # the closed form breaks down at both ends; each walk runs into one
+        ba = dnahm.to_braam_austin(helpers.gauged_trig(p))
+        for backward, end in ((False, 0), (True, -1)):
+            pair = (ba.gammas[end], ba.betas[end])
+            got = dnahm.evolve(pair, 2 * p, backward=backward)
+            assert got[1] is not None
+            assert same_evolution(got, oracles.evolve_two_loops(pair, 2 * p, backward))
