@@ -55,7 +55,6 @@ from .linalg import (
     cmatrix,
     dagger,
     hermitian_eig,
-    inverse,
     matrix_rank,
     max_abs,
     nullity,

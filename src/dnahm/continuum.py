@@ -121,9 +121,9 @@ class NahmTrajectory:
         return NahmTriple(*(cmatrix(t) for t in self.sample([z])[0]))
 
 
-def state_from_triple(triple: NahmTriple, z: float = 0.0) -> NahmState:
-    """Complex variables in the T0 = 0 gauge: sigma = i T1, tau = T2 + i T3."""
-    return NahmState(z=z, sigma=cmatrix(1j * triple.t1), tau=cmatrix(triple.t2 + 1j * triple.t3))
+def state_from_triple(triple: NahmTriple) -> NahmState:
+    """Complex variables in the T0 = 0 gauge at z = 0: sigma = i T1, tau = T2 + i T3."""
+    return NahmState(z=0.0, sigma=cmatrix(1j * triple.t1), tau=cmatrix(triple.t2 + 1j * triple.t3))
 
 
 def nahm_rhs(state: NahmState) -> tuple[CMatrix, CMatrix]:
@@ -222,16 +222,13 @@ def lax_polynomial_coeffs(triple: NahmTriple) -> np.ndarray:
     return _lax_coeffs(np.stack((triple.t1, triple.t2, triple.t3))[None])[0]
 
 
-def invariant_drift(trajectory: NahmTrajectory, stride: int = 1) -> float:
+def invariant_drift(trajectory: NahmTrajectory) -> float:
     """Max deviation of the conserved Lax coefficients along the trajectory.
 
-    Every stride-th node, from the first, is checked skew-hermitian and its
-    coefficients computed in one stacked call; the drift is measured against
-    the first node's. Raises ValueError for a stride below 1.
+    Every node is checked skew-hermitian and its coefficients computed in
+    one stacked call; the drift is measured against the first node's.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    nodes = trajectory.nodes[::stride]
+    nodes = trajectory.nodes
     _require_skew(nodes)
     c = _lax_coeffs(nodes)
     return float(np.abs(c - c[0]).max())

@@ -19,9 +19,9 @@ class DimensionMismatch(DnahmError):
 class NotHermitian(DnahmError):
     """A matrix required to be Hermitian deviates beyond tolerance."""
 
-    def __init__(self, deviation: float, message: str = ""):
+    def __init__(self, deviation: float):
         self.deviation = deviation
-        super().__init__(message or f"not Hermitian: max deviation {deviation:.3e}")
+        super().__init__(f"not Hermitian: max deviation {deviation:.3e}")
 
 
 class NotPositiveDefinite(DnahmError):
@@ -30,9 +30,9 @@ class NotPositiveDefinite(DnahmError):
     During evolution this is the breakdown signal.
     """
 
-    def __init__(self, lambda_min: float, message: str = ""):
+    def __init__(self, lambda_min: float):
         self.lambda_min = lambda_min
-        super().__init__(message or f"not positive-definite: lambda_min = {lambda_min:.3e}")
+        super().__init__(f"not positive-definite: lambda_min = {lambda_min:.3e}")
 
 
 class NoConvergence(DnahmError):
@@ -42,9 +42,9 @@ class NoConvergence(DnahmError):
 class Singular(DnahmError):
     """A matrix required to be invertible is singular to working tolerance."""
 
-    def __init__(self, condition: float, message: str = ""):
+    def __init__(self, condition: float):
         self.condition = condition
-        super().__init__(message or f"singular matrix: condition estimate {condition:.3e}")
+        super().__init__(f"singular matrix: condition estimate {condition:.3e}")
 
 
 class DegenerateLeadingCoefficient(DnahmError):
@@ -62,11 +62,9 @@ class SingularGauge(Singular):
 class NotRealityCompatible(DnahmError):
     """Chain does not satisfy the reality pattern D = -A*, P+ = -(P-)*."""
 
-    def __init__(self, deviation: float, message: str = ""):
+    def __init__(self, deviation: float):
         self.deviation = deviation
-        super().__init__(
-            message or f"chain violates the reality pattern: max deviation {deviation:.3e}"
-        )
+        super().__init__(f"chain violates the reality pattern: max deviation {deviation:.3e}")
 
 
 class ChainTooShort(DnahmError):
@@ -116,9 +114,9 @@ class FlowBlowUp(DnahmError):
     is not finite.
     """
 
-    def __init__(self, z: float, message: str = ""):
+    def __init__(self, z: float):
         self.z = z
-        super().__init__(message or f"Nahm flow blows up: not finite from z = {z:.6g}")
+        super().__init__(f"Nahm flow blows up: not finite from z = {z:.6g}")
 
 
 class FormatError(DnahmError):

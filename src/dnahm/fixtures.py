@@ -126,10 +126,13 @@ def random_reality_seed(
     beta has entries uniform in the complex disc of radius spread; gamma is
     the identity plus a small Hermitian positive perturbation scaled by
     spread, so spread = 0 gives exactly (I, 0). If the first forward step breaks
-    down (or overflows), the spread is shrunk and the draw retried.
+    down (or overflows), the spread is shrunk and the draw retried. Raises
+    ValueError for k < 1 or a spread that is not a finite number >= 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (math.isfinite(spread) and spread >= 0.0):
+        raise ValueError(f"spread must be a finite number >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     current = float(spread)
     for _ in range(100):

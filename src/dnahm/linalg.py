@@ -29,6 +29,11 @@ RANK_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 
 
+def _require_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise DimensionMismatch("matrix entries must be finite")
+
+
 def cmatrix(data) -> CMatrix:
     """Validate a matrix, or an (n, rows, cols) stack of them: complex128 with
     all entries finite.
@@ -38,8 +43,7 @@ def cmatrix(data) -> CMatrix:
     m = np.array(data, dtype=np.complex128)
     if m.ndim not in (2, 3):
         raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DimensionMismatch("matrix entries must be finite")
+    _require_finite(m)
     m.setflags(write=False)
     return m
 
@@ -61,10 +65,13 @@ def _require_square(m: CMatrix) -> int:
 
 
 def _hermitian_part(m: CMatrix, tol: float) -> CMatrix:
-    """Return (m + m*)/2 after checking m is Hermitian within tol (relative)."""
+    """Return (m + m*)/2 after checking m is finite and Hermitian within tol (relative)."""
     _require_square(m)
+    scale = max_abs(m)
+    if not math.isfinite(scale):
+        raise DimensionMismatch("matrix entries must be finite")
     deviation = max_abs(m - dagger(m))
-    if deviation > tol * (1.0 + max_abs(m)):
+    if deviation > tol * (1.0 + scale):
         raise NotHermitian(deviation)
     return (m + dagger(m)) / 2.0
 
@@ -107,49 +114,53 @@ def positive_sqrt(h: CMatrix, tol: float = SYMMETRY_TOL) -> CMatrix:
     return (u * np.sqrt(lam)) @ dagger(u)
 
 
+def _svd(m: np.ndarray, compute_uv: bool):
+    """np.linalg.svd with its failure typed: DimensionMismatch for a matrix
+    with a non-finite entry, NoConvergence otherwise."""
+    try:
+        return np.linalg.svd(m, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        _require_finite(m)
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+
+
 def require_invertible(m: CMatrix, error: type[Singular] = Singular) -> None:
     """The invertibility rule: raise ``error`` (Singular or the subclass naming
     the matrix's role, with the condition estimate) when the smallest singular
     value is at or below RANK_TOL times the largest. For a stack of matrices
-    the error carries the condition of the first one that fails."""
+    the error carries the condition of the first one that fails. A matrix
+    with a non-finite entry is a DimensionMismatch."""
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    s = np.linalg.svd(m, compute_uv=False).reshape(-1, m.shape[-1])
+    s = _svd(m, compute_uv=False).reshape(-1, m.shape[-1])
     if not s.shape[1]:
         raise error(condition=np.inf)  # a 0 x 0 matrix
     smax, smin = s[:, 0], s[:, -1]
-    failed = np.flatnonzero((smax == 0.0) | (smin <= RANK_TOL * smax))
+    # "not above" also fails the NaN singular values an inf entry gives
+    failed = np.flatnonzero(~(smin > RANK_TOL * smax))
     if failed.size:
+        _require_finite(m)
         i = failed[0]
         raise error(condition=float(smax[i] / smin[i]) if smin[i] > 0 else np.inf)
 
 
-def inverse(m: CMatrix) -> CMatrix:
-    """Inverse of a square matrix, refusing when the condition is hopeless.
-
-    Raises Singular (with the condition estimate) when the smallest singular
-    value is at or below RANK_TOL times the largest.
-    """
-    require_invertible(m)
-    return np.linalg.inv(m)
-
-
-def nullity(m: CMatrix, tol: float = RANK_TOL) -> tuple[int, CMatrix]:
+def nullity(m: CMatrix) -> tuple[int, CMatrix]:
     """Numerical nullity and an orthonormal nullspace basis.
 
     Accepts any rectangular matrix. Counts singular values at or below
-    tol * sigma_max; the basis columns satisfy ||m @ basis|| <= tol * sigma_max.
-    Raises ValueError for a tol that is not a finite number >= 0.
+    RANK_TOL * sigma_max; the basis columns satisfy
+    ||m @ basis|| <= RANK_TOL * sigma_max. A matrix with a non-finite entry
+    is a DimensionMismatch.
     """
-    require_tolerance(tol)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = _svd(m, compute_uv=True)
     smax = s[0] if s.size else 0.0
-    if smax == 0.0:
+    if not smax > 0.0:  # zero, or the NaN an inf entry gives
+        _require_finite(m)
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > tol * smax))
+        rank = int(np.count_nonzero(s > RANK_TOL * smax))
     basis = dagger(vh[rank:])
     return m.shape[1] - rank, basis
 
@@ -173,6 +184,8 @@ def poly_roots(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim not in (1, 2) or c.shape[-1] == 0:
         raise DimensionMismatch("coefficients must be a non-empty 1-D sequence or a stack of them")
+    if not np.isfinite(c).all():
+        raise DimensionMismatch("coefficients must be finite")
     scale = np.abs(c).max(axis=-1)
     lead = np.abs(c[..., -1])
     degenerate = (scale == 0.0) | (lead <= 1e-12 * scale)

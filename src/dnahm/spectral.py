@@ -91,7 +91,13 @@ class SmoothnessReport:
 
 
 def _powers(x: np.ndarray, k: int) -> np.ndarray:
-    """Rows x^0, x^1, ..., x^k of the entries of x, shape (len(x), k + 1)."""
+    """Rows x^0, x^1, ..., x^k of the entries of x, shape (len(x), k + 1).
+
+    Every point coordinate enters here, so this is where a non-finite one
+    is refused, as a DimensionMismatch.
+    """
+    if not np.isfinite(x).all():
+        raise DimensionMismatch("point coordinates must be finite")
     return x[:, None] ** np.arange(k + 1)
 
 
@@ -156,7 +162,10 @@ MAX_CURVE_ELEMENTS = 2_000_000
 
 
 def _require_budget(points: int, k: int, what: str) -> None:
-    """Refuse, before allocating, a request of points x (k + 1)^2 elements over budget."""
+    """Refuse, before allocating, a negative point count (ValueError) or a
+    request of points x (k + 1)^2 elements over budget (TooManyPoints)."""
+    if points < 0:
+        raise ValueError(f"{what}: point count must be >= 0, got {points}")
     if points * (k + 1) ** 2 > MAX_CURVE_ELEMENTS:
         raise TooManyPoints(
             f"{what}: {points} points at k = {k} are {points * (k + 1) ** 2} elements "
@@ -337,14 +346,14 @@ def cokernel_nullity(A: CMatrix, B: CMatrix, D: CMatrix, point: CurvePoint) -> i
     return int(np.count_nonzero(s <= linalg.RANK_TOL * max(float(s[0]), m_scale)))
 
 
-def antidiagonal_clearance(
-    surface: SpectralSurface,
-    n: int,
-    radii: Sequence[float] = (0.5, 1.0, 2.0),
-) -> float:
+# Circles |eta| = r on which the anti-diagonal clearance is sampled.
+ANTIDIAGONAL_RADII = (0.5, 1.0, 2.0)
+
+
+def antidiagonal_clearance(surface: SpectralSurface, n: int) -> float:
     """Minimum rescaled |F| along the anti-diagonal zeta = -1/conj(eta).
 
-    Sampled over n angles on circles of the given radii, with the
+    Sampled over n angles on each circle of ``ANTIDIAGONAL_RADII``, with the
     homogeneous rescaling |conj(eta)^k F| / (1 + |eta|^2)^k that stays
     finite at the poles. A positive lower bound is evidence the curve
     misses the anti-diagonal; a value at rounding scale reports an
@@ -352,9 +361,8 @@ def antidiagonal_clearance(
     ``MAX_CURVE_ELEMENTS`` raises TooManyPoints before anything is allocated.
     """
     k = surface.k
-    radii = np.asarray(radii, dtype=float)
-    _require_budget(radii.size * n, k, "antidiagonal_clearance")
-    eta = _unity_circle(radii, n)
+    _require_budget(len(ANTIDIAGONAL_RADII) * n, k, "antidiagonal_clearance")
+    eta = _unity_circle(np.array(ANTIDIAGONAL_RADII), n)
     value = _evaluate(surface.c, eta, -1.0 / np.conj(eta))
     rescaled = np.abs(np.conj(eta) ** k * value) / (1.0 + np.abs(eta) ** 2) ** k
     return float(rescaled.min(initial=np.inf))

@@ -105,6 +105,13 @@ class TestRandomRealitySeed:
         assert_allclose(gamma, np.eye(2), atol=0)
         assert dnahm.max_abs(beta) == 0.0
 
+    @pytest.mark.parametrize("spread", [np.nan, np.inf, -1.0])
+    def test_spread_must_be_finite_and_non_negative(self, spread):
+        # spread = -1 would give a gamma with eigenvalues [-1.33, 0.82], outside
+        # the reality class; NaN and inf would end in cmatrix's DimensionMismatch
+        with pytest.raises(ValueError, match="spread must be a finite number >= 0"):
+            dnahm.random_reality_seed(2, seed=0, spread=spread)
+
     def test_deterministic(self):
         a = dnahm.random_reality_seed(2, seed=42, spread=0.3)
         b = dnahm.random_reality_seed(2, seed=42, spread=0.3)

@@ -308,7 +308,7 @@ class TestDualTransport:
             + point.zeta * np.eye(2)
             + site.D
         )
-        _, basis = dnahm.nullity(m.T, tol=1e-6)
+        _, basis = dnahm.nullity(m.T)
         g = basis[:, -1]
         for r in (4, 3, 2):
             g = dnahm.transport_covector(chain, r, point, g)

@@ -127,25 +127,6 @@ class TestPositiveSqrt:
         assert err.value.lambda_min == pytest.approx(-1.0, abs=1e-12)
 
 
-class TestInverse:
-    def test_identity(self):
-        assert_allclose(dnahm.inverse(dnahm.cmatrix(np.eye(2))), np.eye(2), atol=1e-14)
-
-    def test_diagonal(self):
-        inv = dnahm.inverse(dnahm.cmatrix(np.diag([2.0, 4.0])))
-        assert_allclose(inv, np.diag([0.5, 0.25]), atol=1e-14)
-
-    def test_residual_oracle(self):
-        rng = np.random.default_rng(2)
-        m = dnahm.cmatrix(np.eye(3) + 0.5 * rng.standard_normal((3, 3)))
-        inv = dnahm.inverse(m)
-        assert dnahm.max_abs(m @ inv - np.eye(3)) <= 1e-11 * np.linalg.cond(m)
-
-    def test_singular_raises(self):
-        with pytest.raises(Singular):
-            dnahm.inverse(dnahm.cmatrix([[1.0, 1.0], [1.0, 1.0]]))
-
-
 RANK_ONE = dnahm.cmatrix([[1.0, 2.0], [2.0, 4.0]])
 SMALL = dnahm.cmatrix([[0.1j, 0.0], [0.0, 0.2]])
 
@@ -168,7 +149,6 @@ class TestInvertibilityRule:
     @pytest.mark.parametrize(
         "call, error",
         [
-            (lambda: dnahm.inverse(RANK_ONE), Singular),
             (_gauge_first_site, SingularGauge),
             (_transport_across_singular_link, SingularPminus),
             (lambda: dnahm.step_forward(RANK_ONE, SMALL), SingularGamma),
@@ -177,7 +157,7 @@ class TestInvertibilityRule:
             (lambda: dnahm.from_braam_austin(dnahm.BAChain(2, (SMALL, SMALL), (RANK_ONE,))),
              SingularGamma),
         ],
-        ids=["inverse", "apply_gauge", "transport_covector", "step_forward",
+        ids=["apply_gauge", "transport_covector", "step_forward",
              "step_backward", "evolve", "from_braam_austin"],
     )
     def test_rank_deficient_matrix_refused(self, call, error):
@@ -196,12 +176,6 @@ class TestNullity:
     def test_identity(self):
         count, _ = dnahm.nullity(dnahm.cmatrix(np.eye(3)))
         assert count == 0
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
-    def test_tol_must_be_finite_and_non_negative(self, tol):
-        # no singular value compares above tol = nan: the identity would get nullity 3
-        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
-            dnahm.nullity(dnahm.cmatrix(np.eye(3)), tol=tol)
 
     def test_rank_one_symmetric(self):
         m = dnahm.cmatrix([[1.0, 1.0], [1.0, 1.0]])
@@ -267,3 +241,59 @@ class TestPolyRoots:
         with pytest.raises(DegenerateLeadingCoefficient, match="in row 1"):
             dnahm.poly_roots(c)
         assert dnahm.poly_roots(c[:0]).shape == (0, 2)
+
+
+def _with_entry(value):
+    return np.diag([value, 1.0]).astype(np.complex128)
+
+
+def _gauge_with_entry(value):
+    chain, _ = dnahm.trig_solution(1)
+    dnahm.apply_gauge(chain, [_with_entry(value), np.eye(2)])
+
+
+class TestNonFiniteRefused:
+    """A NaN or inf entry is a DimensionMismatch at every kernel entry point,
+    never a RuntimeWarning (an error under this suite), an untyped LinAlgError
+    or a silent NaN result."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # a NaN deviation and a NaN lambda would pass both comparisons
+            lambda m: dnahm.positive_sqrt(m),
+            # the symmetry test subtracts inf from inf
+            lambda m: dnahm.hermitian_eig(m),
+            # the SVD fails on NaN and returns NaN singular values for inf
+            lambda m: dnahm.linalg.require_invertible(m),
+            lambda m: dnahm.linalg.require_invertible(np.stack([np.eye(2), m])),
+            lambda m: dnahm.nullity(m),
+            lambda m: dnahm.matrix_rank(np.vstack([m, np.ones((1, 2))])),
+            _gauge_with_entry,
+        ],
+        ids=["positive_sqrt", "hermitian_eig", "require_invertible", "require_invertible_stack",
+             "nullity", "matrix_rank", "apply_gauge"],
+    )
+    def test_matrix_entry(self, call, value):
+        m = value if call is _gauge_with_entry else _with_entry(value)
+        with pytest.raises(DimensionMismatch, match="entries must be finite"):
+            call(m)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1.0, np.nan, 1.0], [1.0, 0.0, np.inf], [[1.0, 2.0, 1.0], [np.nan, 0.0, 1.0]]],
+        ids=["nan_middle", "inf_leading", "stacked_row"],
+    )
+    def test_poly_roots_coefficient(self, coeffs):
+        with pytest.raises(DimensionMismatch, match="coefficients must be finite"):
+            dnahm.poly_roots(coeffs)
+
+    def test_svd_failure_on_finite_input_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        for call in (dnahm.linalg.require_invertible, dnahm.nullity):
+            with pytest.raises(NoConvergence, match="SVD did not converge"):
+                call(dnahm.cmatrix(np.eye(2)))

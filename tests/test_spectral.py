@@ -203,24 +203,33 @@ class TestCokernelNullity:
 
 
 class TestAntidiagonal:
+    def test_fixed_radii(self):
+        assert dnahm.spectral.ANTIDIAGONAL_RADII == (0.5, 1.0, 2.0)
+
     def test_trig_clearance_positive(self):
         chain, _ = dnahm.trig_solution(1)
         s = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
-        # |F(eta, -1/conj(eta))| is angle-independent here; at radius 1 the
-        # rescaled value is (2 + sqrt(2)) / 4
-        value = dnahm.antidiagonal_clearance(s, 16, radii=(1.0,))
-        assert value == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-12)
-        assert dnahm.antidiagonal_clearance(s, 16) > 0.5
+        # |F(eta, -1/conj(eta))| is angle-independent here; the rescaled value
+        # is (2 + sqrt(2)) / 4 at radius 1 and (17 + 4 sqrt(2)) / 25 = 0.906 at
+        # radii 0.5 and 2, so the minimum is the radius-1 value
+        at_radius = {0.5: (17 + 4 * np.sqrt(2)) / 25, 1.0: (2 + np.sqrt(2)) / 4,
+                     2.0: (17 + 4 * np.sqrt(2)) / 25}
+        for radius, value in at_radius.items():
+            assert oracles.antidiagonal_clearance(s, 16, radii=(radius,)) == pytest.approx(
+                value, abs=1e-12
+            )
+        assert dnahm.antidiagonal_clearance(s, 16) == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-12)
 
     def test_intersecting_curve_reports_zero(self):
         # (eta + 1)(zeta + 1) = 0 meets the anti-diagonal at eta = 1, zeta = -1
         s = surface_k1(1.0, 1.0, 1.0)
-        assert dnahm.antidiagonal_clearance(s, 16, radii=(1.0,)) < 1e-12
+        assert dnahm.antidiagonal_clearance(s, 16) < 1e-12
 
     def test_k1_constant_curve_bound(self):
-        # curve zeta = -5: clearance at radius 1 attains |5 conj(eta) - 1| / 2 = 2
+        # curve zeta = -5: the rescaled value |5 conj(eta) - 1| / (1 + r^2) is
+        # least at angle 0, (5r - 1) / (1 + r^2): 1.2, 2 and 1.8 at r = 0.5, 1, 2
         s = surface_k1(0.0, 0.0, 5.0)
-        assert dnahm.antidiagonal_clearance(s, 16, radii=(1.0,)) == pytest.approx(2.0, abs=1e-12)
+        assert dnahm.antidiagonal_clearance(s, 16) == pytest.approx(1.2, abs=1e-12)
 
 
 class TestBAFormCurveCrossCheck:
@@ -456,3 +465,42 @@ class TestElementBudget:
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert json.loads(captured.err)["error"] == "TooManyPoints"
         assert not out.exists()
+
+
+class TestNegativeCount:
+    # no sample is drawn from a negative count, so no result is claimed from it
+    def test_curve_samples(self):
+        with pytest.raises(ValueError, match="curve_samples: point count must be >= 0"):
+            dnahm.curve_samples(surface_k1(2.0, 3.0, 5.0), -3)
+
+    def test_antidiagonal_clearance(self):
+        with pytest.raises(ValueError, match="antidiagonal_clearance: point count must be >= 0"):
+            dnahm.antidiagonal_clearance(surface_k1(2.0, 3.0, 5.0), -3)
+
+
+class TestNonFinitePoint:
+    """A NaN or inf coordinate is a DimensionMismatch wherever a point enters,
+    not a RuntimeWarning (an error under this suite) or a NaN result."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.evaluate(np.inf, 0.5),
+            lambda s: s.magnitude(0.5, np.nan),
+            lambda s: s.gradient(0.5, np.nan),
+            lambda s: s.zeta_coefficients(np.nan),
+            lambda s: dnahm.zeta_slice_roots(s, complex(np.inf, 0.0)),
+            lambda s: dnahm.smoothness_report(s, [dnahm.CurvePoint(np.nan, 0.5)]),
+        ],
+        ids=["evaluate", "magnitude", "gradient", "zeta_coefficients", "zeta_slice_roots",
+             "smoothness_report"],
+    )
+    def test_surface_diagnostics(self, call):
+        with pytest.raises(DimensionMismatch, match="point coordinates must be finite"):
+            call(surface_k1(2.0, 3.0, 5.0))
+
+    def test_cokernel_nullity(self):
+        chain, _ = dnahm.trig_solution(1)
+        site = chain.sites[0]
+        with pytest.raises(DimensionMismatch, match="point coordinates must be finite"):
+            dnahm.cokernel_nullity(site.A, site.B, site.D, dnahm.CurvePoint(np.inf, 0.5))
