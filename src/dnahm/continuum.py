@@ -287,8 +287,8 @@ def embedded_residuals(trajectory: NahmTrajectory, h: float) -> ScalingRow:
     res = ba_residuals(chain)
     return ScalingRow(
         h=h,
-        r_evolution=max(res.evolution, default=0.0),
-        r_metric=max(res.metric, default=0.0),
+        r_evolution=float(res.evolution.max(initial=0.0)),
+        r_metric=float(res.metric.max(initial=0.0)),
     )
 
 

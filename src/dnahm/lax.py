@@ -144,6 +144,13 @@ def m_factorization_residual(chain: DNChain, eta: complex, zeta: complex) -> np.
     return np.abs(lhs - rhs).max(axis=(1, 2))
 
 
+def _link_index(chain: DNChain, r: int) -> int:
+    """Stack index of link (r, r+1); IndexError for an r outside the chain."""
+    if not chain.r0 <= r < chain.r1:
+        raise IndexError(f"link {r} outside [{chain.r0}, {chain.r1 - 1}]")
+    return r - chain.r0
+
+
 def transport_covector(
     chain: DNChain, r: int, point: CurvePoint, g_right: np.ndarray
 ) -> np.ndarray:
@@ -155,15 +162,15 @@ def transport_covector(
     """
     if abs(point.eta) <= 1e-8:
         raise EtaNearZero("transport needs |eta| > 1e-8")
-    link = chain.link(r)
-    linalg.require_invertible(link.Pminus, error=SingularPminus)
-    site_right = chain.site(r + 1)
+    i = _link_index(chain, r)
+    pminus = chain.Pminus[i]
+    linalg.require_invertible(pminus, error=SingularPminus)
     eye = np.eye(chain.k, dtype=np.complex128)
     return (
         -(1.0 / point.eta)
         * g_right
-        @ (point.zeta * eye + site_right.D)
-        @ np.linalg.inv(link.Pminus)
+        @ (point.zeta * eye + chain.D[i + 1])
+        @ np.linalg.inv(pminus)
     )
 
 
@@ -178,16 +185,16 @@ def dual_transport_check(chain: DNChain, r: int, point: CurvePoint) -> float:
     M_{r+1}'s curve or M_{r+1}'s smallest singular value exceeds 1e-6 times
     its scale (or 1).
     """
-    site_right = chain.site(r + 1)
-    m_right, m_scale = pencil_at_curve_point(site_right.A, site_right.B, site_right.D, point)
+    i = _link_index(chain, r)
+    A, B, D = chain.A, chain.B, chain.D
+    m_right, m_scale = pencil_at_curve_point(A[i + 1], B[i + 1], D[i + 1], point)
     # null covector from the transpose's nullspace
     _, s, vh = np.linalg.svd(m_right.T)
     if s[-1] > 1e-6 * max(1.0, m_scale):
         raise PointNotOnCurve("M at the right site has no left null covector")
     g_right = vh[-1].conj()  # direction of the smallest singular value
     g_left = transport_covector(chain, r, point, g_right)
-    site_left = chain.site(r)
-    m_left = pencil(site_left.A, site_left.B, site_left.D)(point.eta, point.zeta)
+    m_left = pencil(A[i], B[i], D[i])(point.eta, point.zeta)
     norm = float(np.linalg.norm(g_left))
     if norm == 0.0:
         raise PointNotOnCurve("transported covector vanished")

@@ -65,15 +65,21 @@ def _require_square(m: CMatrix) -> int:
 
 
 def _hermitian_part(m: CMatrix, tol: float) -> CMatrix:
-    """Return (m + m*)/2 after checking m is finite and Hermitian within tol (relative)."""
+    """Return (m + m*)/2 after checking m is finite and Hermitian within tol (relative).
+
+    Both are taken from the exact halves m/2, so that no finite entry
+    overflows; outside the subnormal range the bits are those of (m + m*)/2
+    and of |m - m*|.
+    """
     _require_square(m)
     scale = max_abs(m)
     if not math.isfinite(scale):
         raise DimensionMismatch("matrix entries must be finite")
-    deviation = max_abs(m - dagger(m))
+    half = m / 2.0
+    deviation = 2.0 * max_abs(half - dagger(half))  # a float: inf, not a warning, past the range
     if deviation > tol * (1.0 + scale):
         raise NotHermitian(deviation)
-    return (m + dagger(m)) / 2.0
+    return half + dagger(half)
 
 
 def require_tolerance(tol: float) -> None:
@@ -150,17 +156,17 @@ def nullity(m: CMatrix) -> tuple[int, CMatrix]:
     Accepts any rectangular matrix. Counts singular values at or below
     RANK_TOL * sigma_max; the basis columns satisfy
     ||m @ basis|| <= RANK_TOL * sigma_max. A matrix with a non-finite entry
-    is a DimensionMismatch.
+    is a DimensionMismatch; a finite one whose sigma_max overflows is
+    decomposed as m divided by its largest real or imaginary part.
     """
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
     _, s, vh = _svd(m, compute_uv=True)
-    smax = s[0] if s.size else 0.0
-    if not smax > 0.0:  # zero, or the NaN an inf entry gives
+    if s.size and not s[0] < np.inf:  # the NaN of an inf entry, or an overflowing sigma_max
         _require_finite(m)
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > RANK_TOL * smax))
+        # rank and nullspace do not depend on scale
+        _, s, vh = _svd(m / max(max_abs(m.real), max_abs(m.imag)), compute_uv=True)
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size else 0
     basis = dagger(vh[rank:])
     return m.shape[1] - rank, basis
 

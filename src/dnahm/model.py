@@ -78,8 +78,8 @@ class DNChain:
     """Sites origin..origin+n-1: (n, k, k) stacks A, B, D of the site data and
     (n-1, k, k) stacks Pplus, Pminus of the link data, held read-only.
 
-    ``sites``, ``links``, ``site(r)`` and ``link(r)`` are per-site views of
-    the stacks, built on each call.
+    ``sites`` and ``links`` are per-site views of the stacks, built on each
+    call; nothing in the library reads them.
     """
 
     k: int
@@ -103,24 +103,13 @@ class DNChain:
 
     @property
     def sites(self) -> tuple[DNSite, ...]:
-        return tuple(self.site(r) for r in range(self.r0, self.r1 + 1))
+        r = range(self.r0, self.r1 + 1)
+        return tuple(DNSite(*site) for site in zip(r, self.A, self.B, self.D))
 
     @property
     def links(self) -> tuple[DNLink, ...]:
-        return tuple(self.link(r) for r in range(self.r0, self.r1))
-
-    def site(self, r: int) -> DNSite:
-        if not self.r0 <= r <= self.r1:
-            raise IndexError(f"site {r} outside [{self.r0}, {self.r1}]")
-        i = r - self.r0
-        return DNSite(r=r, A=self.A[i], B=self.B[i], D=self.D[i])
-
-    def link(self, r: int) -> DNLink:
-        """Link between sites r and r+1."""
-        if not self.r0 <= r < self.r1:
-            raise IndexError(f"link {r} outside [{self.r0}, {self.r1 - 1}]")
-        i = r - self.r0
-        return DNLink(r=r, Pplus=self.Pplus[i], Pminus=self.Pminus[i])
+        r = range(self.r0, self.r1)
+        return tuple(DNLink(*link) for link in zip(r, self.Pplus, self.Pminus))
 
 
 @dataclass(frozen=True)
@@ -139,7 +128,8 @@ class BAChain:
 
 @dataclass(frozen=True)
 class LinkResiduals:
-    """Equation-satisfaction residuals on the link (r, r+1).
+    """Equation-satisfaction residuals on every link (r, r+1), as (n - 1,)
+    columns whose entry i is link r0 + i.
 
     comm_a:  || P-_{r+1} A_{r+1} - A_r P-_{r+1} ||
     comm_d:  || P+_r D_r - D_{r+1} P+_r ||
@@ -147,32 +137,35 @@ class LinkResiduals:
     b_right: deviation of B_{r+1} from P+_r P-_{r+1} + D_{r+1} A_{r+1} (right site)
     """
 
-    r: int
-    comm_a: float
-    comm_d: float
-    b_left: float
-    b_right: float
+    r0: int
+    comm_a: np.ndarray
+    comm_d: np.ndarray
+    b_left: np.ndarray
+    b_right: np.ndarray
 
     @property
     def max(self) -> float:
-        return max(self.comm_a, self.comm_d, self.b_left, self.b_right)
+        """The largest residual, NaN if any is NaN, 0.0 for a chain without links."""
+        columns = (self.comm_a, self.comm_d, self.b_left, self.b_right)
+        return float(np.max(columns, initial=0.0))
 
 
 @dataclass(frozen=True)
 class BAResiduals:
-    """Braam-Austin equation residuals.
+    """Braam-Austin equation residuals, as arrays.
 
     evolution[j]: || beta_j gamma_j - gamma_j beta_{j+1} || on link j.
     metric[i]:    || gamma*_{j-1} gamma_{j-1} - gamma_j gamma*_j
                      + [beta*_j, beta_j] || at interior site j = i + 1.
     """
 
-    evolution: tuple[float, ...]
-    metric: tuple[float, ...]
+    evolution: np.ndarray
+    metric: np.ndarray
 
     @property
     def max(self) -> float:
-        return max((*self.evolution, *self.metric), default=0.0)
+        """The largest residual, NaN if any is NaN, 0.0 for a chain without links."""
+        return float(np.max(np.concatenate((self.evolution, self.metric)), initial=0.0))
 
 
 def _b_at_link_ends(A, D, pplus, pminus) -> tuple[np.ndarray, np.ndarray]:
@@ -238,22 +231,21 @@ def reconstruct_B(
     return b_left, b_right, max_abs(b_left - b_right)
 
 
-def dn_residuals(chain: DNChain) -> list[LinkResiduals]:
-    """Per-link residuals of the discrete Nahm equations."""
+def dn_residuals(chain: DNChain) -> LinkResiduals:
+    """Residuals of the discrete Nahm equations on every link."""
     A, B, D, pp, pm = chain.A, chain.B, chain.D, chain.Pplus, chain.Pminus
     b_left_end, b_right_end = _b_at_link_ends(A, D, pp, pm)
-    columns = (
-        np.abs(pm @ A[1:] - A[:-1] @ pm).max(axis=(1, 2)),
-        np.abs(pp @ D[:-1] - D[1:] @ pp).max(axis=(1, 2)),
-        np.abs(B[:-1] - b_left_end).max(axis=(1, 2)),
-        np.abs(B[1:] - b_right_end).max(axis=(1, 2)),
+    return LinkResiduals(
+        chain.r0,
+        comm_a=np.abs(pm @ A[1:] - A[:-1] @ pm).max(axis=(1, 2)),
+        comm_d=np.abs(pp @ D[:-1] - D[1:] @ pp).max(axis=(1, 2)),
+        b_left=np.abs(B[:-1] - b_left_end).max(axis=(1, 2)),
+        b_right=np.abs(B[1:] - b_right_end).max(axis=(1, 2)),
     )
-    rows = zip(*(c.tolist() for c in columns))
-    return [LinkResiduals(chain.r0 + i, *row) for i, row in enumerate(rows)]
 
 
 def max_dn_residual(chain: DNChain) -> float:
-    return max((rec.max for rec in dn_residuals(chain)), default=0.0)
+    return dn_residuals(chain).max
 
 
 def ba_residuals(ba: BAChain) -> BAResiduals:
@@ -267,7 +259,7 @@ def ba_residuals(ba: BAChain) -> BAResiduals:
         + dagger(beta) @ beta
         - beta @ dagger(beta)
     ).max(axis=(1, 2))
-    return BAResiduals(evolution=tuple(evolution.tolist()), metric=tuple(metric.tolist()))
+    return BAResiduals(evolution=evolution, metric=metric)
 
 
 def apply_gauge(chain: DNChain, gauges: Sequence[CMatrix]) -> DNChain:
@@ -328,8 +320,8 @@ def reality_residual(chain: DNChain, metric: Sequence[CMatrix]) -> float:
     """
     g = validate_metric(metric, chain)
     inv = np.linalg.inv(g)
-    return max(
+    return float(np.max((
         max_abs(chain.A + inv @ dagger(chain.D) @ g),
         max_abs(chain.B - inv @ dagger(chain.B) @ g),
         max_abs(chain.Pplus + inv[1:] @ dagger(chain.Pminus) @ g[:-1]),
-    )
+    )))  # NaN if any part is NaN

@@ -88,6 +88,9 @@ class SmoothnessReport:
 # products: numpy hands each stacked row to the kernel of a 1-D product, so
 # a point's value has the bits of its own ``e @ c @ z``. One 2-D
 # (m, n) @ (n, n) product goes to another kernel and rounds differently.
+# The three that take caller points (_evaluate, _gradient, _zeta_slices)
+# ignore overflow: at a finite point too large for the powers and products
+# they give an inf or NaN value, not a RuntimeWarning.
 
 
 def _powers(x: np.ndarray, k: int) -> np.ndarray:
@@ -113,6 +116,7 @@ def _forms(e: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (e[:, None, :] @ c @ z[:, :, None])[:, 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _evaluate(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """F(eta[i], zeta[i]) for the coefficient grid c, at every point i."""
     k = len(c) - 1
@@ -124,6 +128,7 @@ def _magnitude(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return _evaluate(np.abs(c), np.abs(eta), np.abs(zeta))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gradient(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dF/deta, dF/dzeta) for the coefficient grid c, at every point."""
     k = len(c) - 1
@@ -131,6 +136,7 @@ def _gradient(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> tuple[np.ndar
     return _forms(_derivatives(e), c, z), _forms(e, c, _derivatives(z))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _zeta_slices(surface: SpectralSurface, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The zeta-slice coefficient rows at every eta, and which slices are degenerate.
 
@@ -208,7 +214,7 @@ def pencil_at_curve_point(
 ) -> tuple[CMatrix, float]:
     """M at a curve point and the natural magnitude of its terms, |eta zeta| ||A||
     + |eta| ||B|| + |zeta| + ||D||; raises PointNotOnCurve if |F| exceeds 1e-6
-    times the surface's local magnitude (or 1).
+    times the surface's local magnitude (or 1), or is NaN.
 
     Singular values measured against that scale, not only sigma_max, keep a
     rank decision meaningful when M itself is nearly zero (k = 1).
@@ -216,7 +222,7 @@ def pencil_at_curve_point(
     eta, zeta = point.eta, point.zeta
     surface = char_surface(A, B, D)
     residual = abs(surface.evaluate(eta, zeta))
-    if residual > 1e-6 * max(1.0, surface.magnitude(eta, zeta)):
+    if not residual <= 1e-6 * max(1.0, surface.magnitude(eta, zeta)):  # NaN is off the curve
         raise PointNotOnCurve(f"|F| = {residual:.3e} at ({eta}, {zeta})")
     scale = abs(eta * zeta) * max_abs(A) + abs(eta) * max_abs(B) + abs(zeta) + max_abs(D)
     return pencil(A, B, D)(eta, zeta), scale

@@ -289,12 +289,12 @@ def m_factorization_residual(chain: DNChain, r: int, eta: complex, zeta: complex
     if not (chain.r0 < r < chain.r1):
         raise ChainTooShort(f"site {r} is not interior to [{chain.r0}, {chain.r1}]")
     f = basis_sections(chain)
-    site = chain.site(r)
+    site = site_at(chain, r)
 
     wplus_f = ward_plus(chain, eta, f)
     wminus_f = ward_minus(chain, eta, zeta, f)
-    term_pm_wp = eta * chain.link(r).Pminus @ wplus_f.at(r + 1)
-    term_pp_wm = chain.link(r - 1).Pplus @ wminus_f.at(r - 1)
+    term_pm_wp = eta * link_at(chain, r).Pminus @ wplus_f.at(r + 1)
+    term_pp_wm = link_at(chain, r - 1).Pplus @ wminus_f.at(r - 1)
     product = ward_plus(chain, eta, wminus_f).at(r)
     rhs = term_pm_wp + term_pp_wm - product
 
@@ -497,22 +497,33 @@ def to_braam_austin(chain, tol=1e-9):
     return BAChain(k=chain.k, betas=betas, gammas=gammas, origin=chain.r0)
 
 
+def site_at(chain, r):
+    """Site r of a chain (numbered from its origin) as a per-site DNSite."""
+    return chain.sites[r - chain.r0]
+
+
+def link_at(chain, r):
+    """Link (r, r+1) of a chain as a per-site DNLink."""
+    return chain.links[r - chain.r0]
+
+
 def dn_residuals(chain):
-    out = []
+    """One row of four residuals per link, then the rows as LinkResiduals columns."""
+    rows = []
     for i, link in enumerate(chain.links):
         s0, s1 = chain.sites[i], chain.sites[i + 1]
         comm_a = max_abs(link.Pminus @ s1.A - s0.A @ link.Pminus)
         comm_d = max_abs(link.Pplus @ s0.D - s1.D @ link.Pplus)
         b_left = max_abs(s0.B - (link.Pminus @ link.Pplus + s0.A @ s0.D))
         b_right = max_abs(s1.B - (link.Pplus @ link.Pminus + s1.D @ s1.A))
-        out.append(LinkResiduals(link.r, comm_a, comm_d, b_left, b_right))
-    return out
+        rows.append((comm_a, comm_d, b_left, b_right))
+    return LinkResiduals(chain.r0, *np.array(rows, dtype=float).reshape(-1, 4).T)
 
 
 def ba_residuals(ba):
-    evolution = tuple(
+    evolution = [
         max_abs(ba.betas[j] @ g - g @ ba.betas[j + 1]) for j, g in enumerate(ba.gammas)
-    )
+    ]
     metric = []
     for j in range(1, len(ba.betas) - 1):
         g_prev, g_next = ba.gammas[j - 1], ba.gammas[j]
@@ -525,7 +536,9 @@ def ba_residuals(ba):
                 - beta @ dagger(beta)
             )
         )
-    return BAResiduals(evolution=evolution, metric=tuple(metric))
+    return BAResiduals(
+        evolution=np.array(evolution, dtype=float), metric=np.array(metric, dtype=float)
+    )
 
 
 def apply_gauge(chain, gauges):
@@ -591,8 +604,8 @@ def ward_plus_per_site(chain, eta, f):
     eye = np.eye(chain.k, dtype=np.complex128)
     rows = []
     for r in range(lo, hi + 1):
-        link = chain.link(r - 1)
-        site = chain.site(r)
+        link = link_at(chain, r - 1)
+        site = site_at(chain, r)
         rows.append(link.Pplus @ f.at(r - 1) - (eta * site.A + eye) @ f.at(r))
     return WardSection(start=lo, values=np.array(rows))
 
@@ -605,8 +618,8 @@ def ward_minus_per_site(chain, eta, zeta, f):
     eye = np.eye(chain.k, dtype=np.complex128)
     rows = []
     for r in range(lo, hi + 1):
-        link = chain.link(r)
-        site = chain.site(r)
+        link = link_at(chain, r)
+        site = site_at(chain, r)
         rows.append(eta * link.Pminus @ f.at(r + 1) + (zeta * eye + site.D) @ f.at(r))
     return WardSection(start=lo, values=np.array(rows))
 

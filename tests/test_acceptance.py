@@ -171,7 +171,7 @@ def test_criterion_5_dual_transport(ensemble):
     checked = 0
     for chain in chains:
         mid = chain.r0 + (len(chain.links) - 1) // 2
-        site = chain.site(mid + 1)
+        site = oracles.site_at(chain, mid + 1)
         surface = dnahm.char_surface(site.A, site.B, site.D)
         for idx, radius in enumerate(radii):
             eta = radius * np.exp(2j * np.pi * (idx + 0.37) / len(radii))

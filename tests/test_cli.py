@@ -264,6 +264,34 @@ class TestVerifyCommand:
         report = json.loads(report_path.read_text())
         assert "skipped" in report["checks"]["lax_commutator"]
 
+    @pytest.mark.parametrize(
+        "sites, failures, ranks",
+        [
+            (3, ["dn_residuals", "lax_commutator", "m_factorization"], {"left": 0, "right": 0}),
+            (4, ["dn_residuals", "lax_commutator", "m_factorization"], None),
+        ],
+    )
+    def test_overflowing_products_fail_with_one_diagnostic_line(
+        self, sites, failures, ranks, tmp_path, capsys
+    ):
+        # every entry is finite, but P- A, and at 4 sites A D and P- P+, overflow;
+        # at 4 sites so does the boundary matrix B - DA, whose ranks are then null
+        zeros, ones = np.zeros((sites, 1, 1)), np.ones((sites - 1, 1, 1))
+        if sites == 3:
+            a, d, pplus, pminus = [[[1e200]], [[1e200]], [[0.0]]], zeros, ones, [[[1e200]], [[1.0]]]
+        else:
+            a = d = np.full((sites, 1, 1), 1e200)
+            pplus = pminus = 1e200 * ones
+        chain = dnahm.DNChain(1, a, zeros, d, pplus, pminus)
+        chain_path, report_path = tmp_path / "huge.json", tmp_path / "report.json"
+        dio.save_json(chain_path, dio.chain_to_document(chain))
+        assert main(["verify", "--in", str(chain_path), "--report", str(report_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["failures"] == failures
+        report = json.loads(report_path.read_text())
+        assert report["checks"]["dn_residuals"]["max"] is None  # a NaN residual
+        assert report["checks"]["boundary_ranks"] == ranks
+
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

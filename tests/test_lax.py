@@ -81,13 +81,13 @@ class TestWardOperators:
         plus = dnahm.ward_plus(chain, eta, f)
         minus = dnahm.ward_minus(chain, eta, zeta, f)
         for r in range(2, 5):
-            link = chain.link(r - 1)
-            site = chain.site(r)
+            link = oracles.link_at(chain, r - 1)
+            site = oracles.site_at(chain, r)
             expected = link.Pplus @ f.at(r - 1) - (eta * site.A + np.eye(2)) @ f.at(r)
             assert dnahm.max_abs(plus.at(r) - expected) < 1e-14
         for r in range(1, 4):
-            link = chain.link(r)
-            site = chain.site(r)
+            link = oracles.link_at(chain, r)
+            site = oracles.site_at(chain, r)
             expected = eta * link.Pminus @ f.at(r + 1) + (zeta * np.eye(2) + site.D) @ f.at(r)
             assert dnahm.max_abs(minus.at(r) - expected) < 1e-14
 
@@ -102,11 +102,11 @@ def coefficient_oracle(chain, eta):
     """
     worst = 0.0
     for r in range(chain.r0 + 1, chain.r1):
-        right = chain.link(r)
-        left = chain.link(r - 1)
-        s = chain.site(r)
-        comm_a = right.Pminus @ chain.site(r + 1).A - s.A @ right.Pminus
-        comm_d = left.Pplus @ chain.site(r - 1).D - s.D @ left.Pplus
+        right = oracles.link_at(chain, r)
+        left = oracles.link_at(chain, r - 1)
+        s = oracles.site_at(chain, r)
+        comm_a = right.Pminus @ oracles.site_at(chain, r + 1).A - s.A @ right.Pminus
+        comm_d = left.Pplus @ oracles.site_at(chain, r - 1).D - s.D @ left.Pplus
         mismatch = (left.Pplus @ left.Pminus + s.D @ s.A) - (
             right.Pminus @ right.Pplus + s.A @ s.D
         )
@@ -173,10 +173,10 @@ class TestMFactorization:
         )
         eta, zeta = 0.8 + 0.2j, -0.6j
         ours = dnahm.m_factorization_residual(bad, eta, zeta)[0]  # site 2
-        site = bad.site(2)
-        right = bad.link(2)
+        site = oracles.site_at(bad, 2)
+        right = oracles.link_at(bad, 2)
         b_dev = site.B - (right.Pminus @ right.Pplus + site.A @ site.D)
-        comm_a = right.Pminus @ bad.site(3).A - site.A @ right.Pminus
+        comm_a = right.Pminus @ oracles.site_at(bad, 3).A - site.A @ right.Pminus
         expected = max(abs(eta) * dnahm.max_abs(b_dev), abs(eta) ** 2 * dnahm.max_abs(comm_a))
         assert ours == pytest.approx(expected, rel=1e-10)
 
@@ -301,7 +301,7 @@ class TestDualTransport:
         # transports a null covector across several links; error grows slowly
         chain, _ = dnahm.trig_solution(3)
         point = dnahm.CurvePoint(eta=np.exp(0.4j), zeta=np.exp(0.4j) * np.exp(-1j * np.pi / 8))
-        site = chain.site(5)
+        site = oracles.site_at(chain, 5)
         m = (
             point.eta * point.zeta * site.A
             + point.eta * site.B
@@ -312,7 +312,7 @@ class TestDualTransport:
         g = basis[:, -1]
         for r in (4, 3, 2):
             g = dnahm.transport_covector(chain, r, point, g)
-            site_l = chain.site(r)
+            site_l = oracles.site_at(chain, r)
             m_l = (
                 point.eta * point.zeta * site_l.A
                 + point.eta * site_l.B
@@ -325,6 +325,15 @@ class TestDualTransport:
         chain, _ = dnahm.trig_solution(2)
         with pytest.raises(EtaNearZero):
             dnahm.transport_covector(chain, 2, dnahm.CurvePoint(0.0, 0.0), np.ones(2))
+
+    def test_link_index_outside_the_chain(self):
+        chain, _ = dnahm.trig_solution(3)  # sites 1..6, links 1..5
+        point = dnahm.CurvePoint(eta=1.0 + 0j, zeta=1.0 + 0j)
+        for r in (0, 6, -5):
+            with pytest.raises(IndexError, match=rf"link {r} outside \[1, 5\]"):
+                dnahm.transport_covector(chain, r, point, np.ones(2))
+            with pytest.raises(IndexError, match=rf"link {r} outside \[1, 5\]"):
+                dnahm.dual_transport_check(chain, r, point)
 
     def test_off_curve_rejected(self):
         chain, _ = dnahm.trig_solution(2)

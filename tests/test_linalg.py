@@ -1,5 +1,7 @@
 """Tests for the dense complex matrix kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -121,6 +123,18 @@ class TestPositiveSqrt:
         with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
             dnahm.positive_sqrt(dnahm.cmatrix(np.diag([1.0, -1.0])), tol=tol)
 
+    def test_entries_near_the_largest_double(self):
+        # (h + h*)/2 would overflow in the sum; the halves do not
+        h = dnahm.cmatrix(np.diag([1.7e308, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root = dnahm.positive_sqrt(h, tol=0.0)
+            with pytest.raises(NotPositiveDefinite):  # lambda_min = 1 <= 1e-12 (1 + 1.7e308)
+                dnahm.positive_sqrt(h)
+            with pytest.raises(NotHermitian, match="inf"):  # |h - h*| is 3.4e308
+                dnahm.hermitian_eig(dnahm.cmatrix([[0.0, 1.7e308], [-1.7e308, 0.0]]))
+        assert np.array_equal(root, np.diag([np.sqrt(1.7e308), 1.0]))
+
     def test_not_positive_definite_carries_lambda_min(self):
         with pytest.raises(NotPositiveDefinite) as err:
             dnahm.positive_sqrt(dnahm.cmatrix(np.diag([1.0, -1.0])))
@@ -183,6 +197,15 @@ class TestNullity:
         assert count == 1
         assert_allclose(np.abs(basis[:, 0]), [np.sqrt(0.5)] * 2, atol=1e-12)
         assert dnahm.max_abs(m @ basis) <= 1e-12
+
+    def test_overflowing_sigma_max_on_finite_input(self):
+        # sigma_max overflows, so no singular value compares above RANK_TOL * sigma_max;
+        # the rank is taken on m / 1.5e308 instead
+        full = dnahm.cmatrix([[1.5e308 + 1.5e308j, 0.0], [0.0, 1e300]])
+        assert dnahm.nullity(full)[0] == 0 and dnahm.matrix_rank(full) == 2
+        # sigma_min / sigma_max = 1 / 2.1e308 is below RANK_TOL: numerically rank 1
+        count, basis = dnahm.nullity(dnahm.cmatrix([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]]))
+        assert count == 1 and np.array_equal(np.abs(basis[:, 0]), [0.0, 1.0])
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(3)

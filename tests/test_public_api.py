@@ -64,3 +64,8 @@ def test_exception_constructors_take_no_optional_parameter():
 def test_inverse_is_not_exported():
     # require_invertible followed by np.linalg.inv is written at each caller
     assert not hasattr(dnahm, "inverse") and not hasattr(dnahm.linalg, "inverse")
+
+
+def test_chains_have_no_per_index_accessors():
+    # the library indexes the stacks; lax checks the link index itself
+    assert not hasattr(dnahm.DNChain, "site") and not hasattr(dnahm.DNChain, "link")

@@ -504,3 +504,30 @@ class TestNonFinitePoint:
         site = chain.sites[0]
         with pytest.raises(DimensionMismatch, match="point coordinates must be finite"):
             dnahm.cokernel_nullity(site.A, site.B, site.D, dnahm.CurvePoint(np.inf, 0.5))
+
+
+class TestOverflowingPoint:
+    """A finite point too large for the powers and products gives a
+    non-finite value, not a RuntimeWarning (an error under this suite)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.evaluate(1e200, 1e200),
+            lambda s: s.magnitude(1e200, 1e200),
+            lambda s: s.gradient(1e200j, 1e200)[0],
+            lambda s: dnahm.smoothness_report(s, [dnahm.CurvePoint(1e200j, 1e200)]).min_gradient,
+        ],
+        ids=["evaluate", "magnitude", "gradient", "smoothness_report"],
+    )
+    def test_surface_diagnostics(self, call):
+        # k = 3: the cubic powers of 1e200 overflow before any product
+        surface = dnahm.char_surface(*(dnahm.cmatrix(v * np.eye(3)) for v in (2.0, 3.0, 5.0)))
+        assert not np.isfinite(call(surface))
+
+    def test_point_off_every_finite_value_is_off_the_curve(self):
+        chain, _ = dnahm.trig_solution(2)
+        site = chain.sites[0]
+        with pytest.raises(PointNotOnCurve):
+            dnahm.cokernel_nullity(site.A, site.B, site.D, dnahm.CurvePoint(1e200, 1e200))
+
