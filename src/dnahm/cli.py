@@ -199,15 +199,15 @@ def cmd_verify(args) -> int:
 
 def cmd_spectral(args) -> int:
     chain, _, _ = _load_dn_chain(args.infile)
-    surfaces, drift = spectral.site_surfaces(chain)
-    base = surfaces[0]
+    c, drift = spectral.site_surfaces(chain)
+    base = spectral.SpectralSurface(k=chain.k, c=c[0])  # site 0's curve, for the diagnostics
     sites = list(range(chain.r0, chain.r1 + 1))
     series = [[r, d] for r, d in zip(sites, drift.tolist())]
     doc: dict = {
         "format_version": io.FORMAT_VERSION,
         "k": chain.k,
         "sites": sites,
-        "surfaces": io.matrix_to_pairs([surf.c for surf in surfaces]),
+        "surfaces": io.matrix_to_pairs(c),
         "drift": {"max": float(drift.max()), "per_site": series},
     }
     if args.samples:
@@ -228,7 +228,7 @@ def cmd_spectral(args) -> int:
     io.save_json(args.out, doc)
     if args.drift is not None:
         io.write_csv(args.drift, ["site", "max_abs_drift"], series)
-    print(f"wrote {len(surfaces)} surfaces (drift max {doc['drift']['max']:.3e}) -> {args.out}")
+    print(f"wrote {len(c)} surfaces (drift max {doc['drift']['max']:.3e}) -> {args.out}")
     return 0
 
 

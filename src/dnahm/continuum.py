@@ -86,11 +86,6 @@ class NahmTrajectory:
     def step(self) -> float:
         return (self.z1 - self.z0) / (len(self.nodes) - 1)
 
-    @property
-    def states(self) -> tuple[NahmTriple, ...]:
-        """One validated triple per grid node, built from ``nodes`` on each call."""
-        return tuple(NahmTriple(*node) for node in self.nodes)
-
     def sample(self, zs) -> np.ndarray:
         """Interpolated triples at the 1-D array zs, shape (len(zs), 3, k, k).
 

@@ -64,19 +64,39 @@ def _require_square(m: CMatrix) -> int:
     return m.shape[0]
 
 
+def _part_scale(m: np.ndarray) -> np.ndarray:
+    """The largest |Re| or |Im| entry of each matrix, shaped to divide it:
+    finite for a finite matrix, where the modulus of an entry may overflow."""
+    return np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), keepdims=True)
+
+
+def _deviation(half: CMatrix) -> float:
+    """|m - m*| from the half m/2: a float, inf rather than a warning past the range."""
+    return 2.0 * max_abs(half - dagger(half))
+
+
 def _hermitian_part(m: CMatrix, tol: float) -> CMatrix:
     """Return (m + m*)/2 after checking m is finite and Hermitian within tol (relative).
 
     Both are taken from the exact halves m/2, so that no finite entry
     overflows; outside the subnormal range the bits are those of (m + m*)/2
-    and of |m - m*|.
+    and of |m - m*|. A finite m with an entry whose modulus overflows is
+    judged Hermitian on m divided by its largest real or imaginary part; if
+    it is, its largest eigenvalue is at least that modulus, past the largest
+    double, which is a NoConvergence.
     """
     _require_square(m)
     scale = max_abs(m)
     if not math.isfinite(scale):
-        raise DimensionMismatch("matrix entries must be finite")
+        _require_finite(m)
+        part = _part_scale(m).item()
+        unit = m / part
+        deviation = _deviation(unit / 2.0)
+        if deviation > tol * (1.0 + max_abs(unit)):
+            raise NotHermitian(deviation * part)
+        raise NoConvergence("eigenvalues exceed the largest double: an entry's modulus overflows")
     half = m / 2.0
-    deviation = 2.0 * max_abs(half - dagger(half))  # a float: inf, not a warning, past the range
+    deviation = _deviation(half)
     if deviation > tol * (1.0 + scale):
         raise NotHermitian(deviation)
     return half + dagger(half)
@@ -94,8 +114,9 @@ def hermitian_eig(h: CMatrix, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, CM
 
     Returns (eigenvalues ascending, U) with h @ U = U @ diag(eigenvalues)
     and U unitary. Raises NotHermitian if the symmetry check fails,
-    NoConvergence if the underlying iteration gives up, and ValueError for
-    a tol that is not a finite number >= 0.
+    NoConvergence if the underlying iteration gives up or an entry's
+    modulus (so an eigenvalue) exceeds the largest double, and ValueError
+    for a tol that is not a finite number >= 0.
     """
     require_tolerance(tol)
     hs = _hermitian_part(h, tol)
@@ -141,13 +162,22 @@ def require_invertible(m: CMatrix, error: type[Singular] = Singular) -> None:
     s = _svd(m, compute_uv=False).reshape(-1, m.shape[-1])
     if not s.shape[1]:
         raise error(condition=np.inf)  # a 0 x 0 matrix
-    smax, smin = s[:, 0], s[:, -1]
-    # "not above" also fails the NaN singular values an inf entry gives
-    failed = np.flatnonzero(~(smin > RANK_TOL * smax))
-    if failed.size:
-        _require_finite(m)
-        i = failed[0]
-        raise error(condition=float(smax[i] / smin[i]) if smin[i] > 0 else np.inf)
+    # "not above" also fails the NaN singular values of an inf entry or of an
+    # overflowing sigma_max
+    failed = ~(s[:, -1] > RANK_TOL * s[:, 0])
+    if not failed.any():
+        return
+    _require_finite(m)
+    # the condition does not depend on scale: a finite matrix whose sigma_max
+    # overflows is decomposed as m divided by its largest real or imaginary part
+    over = ~(s[:, 0] < np.inf)
+    if over.any():
+        big = m.reshape(s.shape[0], *m.shape[-2:])[over]
+        s[over] = _svd(big / _part_scale(big), compute_uv=False)
+        failed = ~(s[:, -1] > RANK_TOL * s[:, 0])
+    if failed.any():
+        smax, smin = s[np.argmax(failed), [0, -1]]
+        raise error(condition=float(smax / smin) if smin > 0 else np.inf)
 
 
 def nullity(m: CMatrix) -> tuple[int, CMatrix]:
@@ -165,7 +195,7 @@ def nullity(m: CMatrix) -> tuple[int, CMatrix]:
     if s.size and not s[0] < np.inf:  # the NaN of an inf entry, or an overflowing sigma_max
         _require_finite(m)
         # rank and nullspace do not depend on scale
-        _, s, vh = _svd(m / max(max_abs(m.real), max_abs(m.imag)), compute_uv=True)
+        _, s, vh = _svd(m / _part_scale(m), compute_uv=True)
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size else 0
     basis = dagger(vh[rank:])
     return m.shape[1] - rank, basis

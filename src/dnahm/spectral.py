@@ -228,13 +228,18 @@ def pencil_at_curve_point(
     return pencil(A, B, D)(eta, zeta), scale
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing det is refused below
 def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
-    """Spectral surface of a site triple, or a tuple of them for stacked triples.
+    """Spectral surface of a site triple, or the coefficient grids of stacked triples.
 
-    A, B and D are k x k matrices, or (n, k, k) stacks of n site triples;
-    a stack gives a tuple of n surfaces. The coefficients come from one
+    A, B and D are k x k matrices, giving a SpectralSurface, or (n, k, k)
+    stacks of n site triples, giving one read-only (n, k + 1, k + 1) array
+    whose row i is site i's grid. The coefficients come from one
     ``bivariate_coeffs`` call whose f is a batched det over the stack, so
-    the working memory is a few (n, k, k) arrays.
+    the working memory is a few (n, k, k) arrays. A grid that loses the
+    identity-block normalization raises NoConvergence naming the stacked
+    site; a grid with a non-finite entry (a determinant that overflowed)
+    raises DimensionMismatch.
     """
     A, B, D = (np.asarray(m) for m in (A, B, D))
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.shape == B.shape == D.shape:
@@ -251,24 +256,25 @@ def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
         where = f" at stacked site {int(np.argmax(lost))}" if stacked else ""
         raise NoConvergence(f"coefficient extraction lost the identity-block normalization{where}")
     c[:, 0, k] = 1.0  # forced by the identity block
+    if not np.isfinite(c).all():  # NaN and inf pass the normalization test above
+        raise DimensionMismatch("coefficient grid entries must be finite")
     c.setflags(write=False)
-    surfaces = tuple(SpectralSurface(k=k, c=ci) for ci in c)
-    return surfaces if stacked else surfaces[0]
+    return c if stacked else SpectralSurface(k=k, c=c[0])
 
 
-def site_surfaces(chain: DNChain) -> tuple[tuple[SpectralSurface, ...], np.ndarray]:
-    """Every site's surface, from one stacked char_surface call, and its drift.
+def site_surfaces(chain: DNChain) -> tuple[np.ndarray, np.ndarray]:
+    """Every site's coefficient grid, from one stacked char_surface call, and its drift.
 
-    The drift of site i is max |c_i - c_0|, its largest coefficient deviation
-    from the first site's surface.
+    The grids are one (n, k + 1, k + 1) array. The drift of site i is
+    max |c_i - c_0|, its largest coefficient deviation from the first
+    site's grid.
     """
-    surfaces = char_surface(chain.A, chain.B, chain.D)
-    c = np.stack([surf.c for surf in surfaces])
-    return surfaces, np.abs(c - c[0]).max(axis=(1, 2))
+    c = char_surface(chain.A, chain.B, chain.D)
+    return c, np.abs(c - c[0]).max(axis=(1, 2))
 
 
 def invariance_drift(chain: DNChain) -> float:
-    """Max coefficient deviation of per-site surfaces from the first site's.
+    """Max coefficient deviation of the site grids from the first site's.
 
     Zero (to rounding) on solutions of the discrete Nahm equations: the
     surface is the conserved quantity of the evolution.

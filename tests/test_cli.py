@@ -343,6 +343,19 @@ class TestSpectralCommand:
         assert "identity-block normalization at stacked site 0" in message
         assert not out.exists()
 
+    def test_overflowing_determinant_is_typed_exit_2(self, tmp_path, capsys):
+        # finite entries, but det(eta zeta A) ~ 1e400 is past the doubles: the
+        # non-finite grid is refused, with no RuntimeWarning on stderr
+        zeros = np.zeros((2, 2, 2))
+        chain = dnahm.DNChain(2, 1e200 * np.array([np.eye(2)] * 2), zeros, zeros,
+                              zeros[:1], zeros[:1])
+        chain_path, out = tmp_path / "huge.json", tmp_path / "surface.json"
+        dio.save_json(chain_path, dio.chain_to_document(chain))
+        message = typed_exit_2(["spectral", "--in", str(chain_path), "--out", str(out)],
+                               capsys, "DimensionMismatch")
+        assert message == "coefficient grid entries must be finite"
+        assert not out.exists()
+
     def test_trig_surface_value(self, tmp_path):
         chain_path = tmp_path / "trig.json"
         main(["example", "--p", "1", "--out", str(chain_path)])
@@ -357,6 +370,21 @@ class TestSpectralCommand:
         lines = drift.read_text().strip().splitlines()
         assert lines[0] == "site,max_abs_drift"
         assert len(lines) == 3
+
+    def test_one_surface_object_per_run(self, tmp_path, monkeypatch):
+        # the site grids stay one array; only site 0's curve diagnostics
+        # build a SpectralSurface
+        built = []
+        check = dnahm.SpectralSurface.__post_init__
+        monkeypatch.setattr(dnahm.SpectralSurface, "__post_init__",
+                            lambda self: (built.append(self), check(self)))
+        chain_path, out = tmp_path / "trig.json", tmp_path / "surface.json"
+        main(["example", "--p", "5", "--out", str(chain_path)])
+        assert main(["spectral", "--in", str(chain_path), "--out", str(out),
+                     "--samples", "8", "--antidiagonal", "8"]) == 0
+        assert len(built) == 1
+        doc = json.loads(out.read_text())
+        assert np.array_equal(oracles.matrix_from_pairs(doc["surfaces"][0], "surface"), built[0].c)
 
     def test_evolved_chain_drift_small(self, tmp_path):
         chain_path = tmp_path / "chain.json"

@@ -77,7 +77,7 @@ class TestRhs:
     def test_finite_difference_oracle(self):
         triple = dnahm.random_skew_triple(3, seed=40, scale=0.3)
         eps = 1e-6
-        stepped = dnahm.integrate_nahm(triple, 0.0, eps, 1).states[-1]
+        stepped = dnahm.NahmTriple(*dnahm.integrate_nahm(triple, 0.0, eps, 1).nodes[-1])
         s0 = dnahm.state_from_triple(triple)
         s1 = dnahm.state_from_triple(stepped)
         dsigma, dtau = dnahm.nahm_rhs(s0)
@@ -89,7 +89,7 @@ class TestIntegrate:
     def test_zero_data_constant(self):
         z = dnahm.cmatrix(np.zeros((2, 2)))
         traj = dnahm.integrate_nahm(dnahm.NahmTriple(z, z, z), 0.0, 1.0, 50)
-        assert dnahm.max_abs(traj.states[-1].t1) == 0.0
+        assert dnahm.max_abs(traj.nodes[-1]) == 0.0
 
     def test_commuting_data_constant(self):
         t = dnahm.NahmTriple(
@@ -98,22 +98,18 @@ class TestIntegrate:
             dnahm.cmatrix(np.diag([-0.3j, 0.1j])),
         )
         traj = dnahm.integrate_nahm(t, 0.0, 1.0, 50)
-        assert dnahm.max_abs(traj.states[-1].t2 - t.t2) < 1e-14
+        assert dnahm.max_abs(traj.nodes[-1, 1] - t.t2) < 1e-14
 
     def test_euler_invariants_conserved(self):
         traj = dnahm.integrate_nahm(dnahm.euler_top_triple((0.3, 0.4, 0.5)), 0.0, 1.0, 2000)
-        f0 = euler_f(traj.states[0])
-        inv0 = (f0[0] ** 2 - f0[1] ** 2, f0[0] ** 2 - f0[2] ** 2)
-        for state in traj.states[::100]:
-            f = euler_f(state)
-            assert abs(f[0] ** 2 - f[1] ** 2 - inv0[0]) < 1e-9
-            assert abs(f[0] ** 2 - f[2] ** 2 - inv0[1]) < 1e-9
+        f = euler_f_nodes(traj.nodes[::100]) ** 2
+        inv = np.stack((f[:, 0] - f[:, 1], f[:, 0] - f[:, 2]), axis=-1)
+        assert np.abs(inv - inv[0]).max() < 1e-9
 
     def test_skew_hermiticity_preserved(self):
         traj = dnahm.integrate_nahm(dnahm.random_skew_triple(3, seed=41, scale=0.4), 0.0, 1.0, 200)
-        for state in traj.states[::40]:
-            for t in (state.t1, state.t2, state.t3):
-                assert dnahm.max_abs(t + t.conj().T) < 1e-10
+        nodes = traj.nodes[::40]
+        assert dnahm.max_abs(nodes + dnahm.dagger(nodes)) < 1e-10
 
     def test_lax_coefficients_conserved(self):
         traj = dnahm.integrate_nahm(dnahm.euler_top_triple(), 0.0, 1.0, 1000)
@@ -123,7 +119,7 @@ class TestIntegrate:
     def test_drift_bit_equal_to_per_node_oracle(self, k):
         traj = dnahm.integrate_nahm(dnahm.random_skew_triple(k, seed=90 + k), 0.0, 1.0, 60)
         assert dnahm.invariant_drift(traj) == oracles.invariant_drift(traj, 1)
-        triple = traj.states[-1]
+        triple = dnahm.NahmTriple(*traj.nodes[-1])
         ours, theirs = dnahm.lax_polynomial_coeffs(triple), oracles.lax_polynomial_coeffs(triple)
         assert ours.shape == (k + 1, 2 * k + 1)
         assert np.array_equal(helpers.bits(ours), helpers.bits(theirs))
@@ -177,24 +173,19 @@ class TestStackedIntegrator:
         assert np.array_equal(built.nodes, traj.nodes)
         assert not built.nodes.flags.writeable
 
-    def test_states_step_and_at_semantics(self):
+    def test_nodes_step_and_at_semantics(self):
         triple = dnahm.random_skew_triple(3, seed=2, scale=0.2)
         traj = dnahm.integrate_nahm(triple, 0.25, 1.25, 32)
         assert traj.step == 1 / 32
-        states = traj.states
-        assert len(states) == 33 and all(isinstance(s, dnahm.NahmTriple) for s in states)
+        assert traj.nodes.shape == (33, 3, 3, 3)
         for i in (0, 7, 32):
             node = traj.nodes[i]
-            assert all(np.array_equal(t, n) for t, n in
-                       zip((states[i].t1, states[i].t2, states[i].t3), node))
             # at an exact grid node the Hermite weights are (1, 0, 0, 0) or
             # (0, 1, 0, 0), so at() returns the node itself
             got = traj.at(0.25 + i * traj.step)
             for t, n in zip((got.t1, got.t2, got.t3), node):
                 assert np.array_equal(t, n) and not t.flags.writeable
-        assert all(np.array_equal(a, b) for a, b in
-                   zip((states[0].t1, states[0].t2, states[0].t3),
-                       (triple.t1, triple.t2, triple.t3)))
+        assert np.array_equal(traj.nodes[0], np.stack((triple.t1, triple.t2, triple.t3)))
 
     def test_range_edges(self):
         traj = dnahm.integrate_nahm(dnahm.random_skew_triple(2, seed=3), 0.0, 1.0, 10)

@@ -135,6 +135,20 @@ class TestPositiveSqrt:
                 dnahm.hermitian_eig(dnahm.cmatrix([[0.0, 1.7e308], [-1.7e308, 0.0]]))
         assert np.array_equal(root, np.diag([np.sqrt(1.7e308), 1.0]))
 
+    def test_entry_whose_modulus_overflows(self):
+        # every entry is finite, but |1.5e308 + 1.5e308j| is not: a Hermitian
+        # matrix has an eigenvalue at least that large, a non-Hermitian one is refused as such
+        b = 1.5e308 + 1.5e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (dnahm.hermitian_eig, dnahm.positive_sqrt):
+                with pytest.raises(NoConvergence, match="exceed the largest double"):
+                    call(dnahm.cmatrix([[1.0, b], [np.conj(b), 1.0]]))
+                with pytest.raises(NotHermitian, match="inf"):
+                    call(dnahm.cmatrix([[1.0, b], [0.0, 1.0]]))
+                with pytest.raises(DimensionMismatch, match="must be finite"):
+                    call(np.array([[1.0, np.inf], [np.inf, 1.0]], dtype=complex))
+
     def test_not_positive_definite_carries_lambda_min(self):
         with pytest.raises(NotPositiveDefinite) as err:
             dnahm.positive_sqrt(dnahm.cmatrix(np.diag([1.0, -1.0])))
@@ -179,6 +193,18 @@ class TestInvertibilityRule:
             call()
         assert info.type is error
         assert info.value.condition > 1.0 / dnahm.linalg.RANK_TOL
+
+    def test_overflowing_sigma_max_on_finite_input(self):
+        # sigma_min / sigma_max = 4.7e-9 is above RANK_TOL, but sigma_max overflows;
+        # the condition is taken on m / 1.5e308 instead, as the rank is
+        full = dnahm.cmatrix([[1.5e308 + 1.5e308j, 0.0], [0.0, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dnahm.linalg.require_invertible(full)
+            dnahm.linalg.require_invertible(np.stack((np.eye(2), full)))
+            with pytest.raises(Singular) as info:  # 1e297 / 2.1e308 is below RANK_TOL
+                dnahm.linalg.require_invertible(np.stack((full, np.diag([full[0, 0], 1e297]))))
+        assert info.value.condition == pytest.approx(2**0.5 * 1.5e11)
 
 
 class TestNullity:

@@ -69,3 +69,11 @@ def test_inverse_is_not_exported():
 def test_chains_have_no_per_index_accessors():
     # the library indexes the stacks; lax checks the link index itself
     assert not hasattr(dnahm.DNChain, "site") and not hasattr(dnahm.DNChain, "link")
+
+
+def test_chain_sized_results_are_arrays():
+    # a trajectory is its nodes array; a stack of site triples gives one grid array
+    assert not hasattr(dnahm.NahmTrajectory, "states")
+    z = np.zeros((3, 2, 2))
+    c = dnahm.char_surface(z, z, z)
+    assert type(c) is np.ndarray and c.shape == (3, 3, 3)

@@ -84,11 +84,11 @@ class TestCharSurface:
                 brute = oracles.char_surface_brute(np.asarray(a), np.asarray(b), np.asarray(d))
                 assert dnahm.max_abs(ours - brute) < 1e-12 * (1 + np.abs(brute).max())
         a, b, d = (np.stack([helpers.random_cmatrix(rng, 3) for _ in range(5)]) for _ in range(3))
-        surfaces = dnahm.char_surface(a, b, d)
-        assert len(surfaces) == 5
-        for surface, ai, bi, di in zip(surfaces, a, b, d):
+        c = dnahm.char_surface(a, b, d)
+        assert c.shape == (5, 4, 4)
+        for ci, ai, bi, di in zip(c, a, b, d):
             brute = oracles.char_surface_brute(ai, bi, di)
-            assert dnahm.max_abs(surface.c - brute) < 1e-12 * (1 + np.abs(brute).max())
+            assert dnahm.max_abs(ci - brute) < 1e-12 * (1 + np.abs(brute).max())
 
 
 class TestInvarianceDrift:
@@ -264,20 +264,20 @@ class TestStackedSurface:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_bit_equal_to_per_site_oracle(self, k):
         a, b, d = random_stack(np.random.default_rng(40 + k), k, 6)
-        surfaces = dnahm.char_surface(a, b, d)
-        assert isinstance(surfaces, tuple) and len(surfaces) == 6
-        for i, surface in enumerate(surfaces):
+        c = dnahm.char_surface(a, b, d)
+        assert type(c) is np.ndarray and c.shape == (6, k + 1, k + 1)
+        assert not c.flags.writeable and np.all(c[:, 0, k] == 1.0)
+        for i in range(6):
             expected = oracles.char_surface(a[i], b[i], d[i]).c
-            assert surface.k == k
-            assert np.array_equal(helpers.bits(surface.c), helpers.bits(expected))
+            assert np.array_equal(helpers.bits(c[i]), helpers.bits(expected))
 
     def test_one_site_stack_equals_the_2d_call(self):
         a, b, d = random_stack(np.random.default_rng(50), 3, 1)
         (stacked,) = dnahm.char_surface(a, b, d)
         single = dnahm.char_surface(a[0], b[0], d[0])
         assert isinstance(single, dnahm.SpectralSurface)
-        assert np.array_equal(helpers.bits(stacked.c), helpers.bits(single.c))
-        assert not stacked.c.flags.writeable and not single.c.flags.writeable
+        assert np.array_equal(helpers.bits(stacked), helpers.bits(single.c))
+        assert not stacked.flags.writeable and not single.c.flags.writeable
 
     def test_mismatched_shapes_rejected(self):
         a, b, d = random_stack(np.random.default_rng(51), 2, 3)
@@ -304,6 +304,16 @@ class TestStackedSurface:
         monkeypatch.setattr(np.linalg, "det", det)
         with pytest.raises(dnahm.errors.DimensionMismatch, match="must be finite"):
             dnahm.char_surface(a, b, d)
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_non_finite_grid_refused(self, stacked):
+        # finite entries whose determinant overflows: (1e200)^2 is past the
+        # doubles, and a NaN or inf grid passes the normalization test
+        a, b, d = random_stack(np.random.default_rng(54), 2, 4)
+        a[2] = 1e200 * np.eye(2)
+        triple = (a, b, d) if stacked else (a[2], b[2], d[2])
+        with pytest.raises(DimensionMismatch, match="^coefficient grid entries must be finite$"):
+            dnahm.char_surface(*triple)
 
     def test_one_bad_normalization_site_raises(self):
         # a rank-1 A of size 1e8 cancels to O(1) rounding in every node's
@@ -349,8 +359,8 @@ class TestStackedSurface:
         g = np.eye(k) + 0.1 * (rng.standard_normal((n, k, k))
                                + 1j * rng.standard_normal((n, k, k))) / k
         gi = np.linalg.inv(g)
-        c0 = np.stack([s.c for s in dnahm.char_surface(a, b, d)])
-        c1 = np.stack([s.c for s in dnahm.char_surface(g @ a @ gi, g @ b @ gi, g @ d @ gi)])
+        c0 = dnahm.char_surface(a, b, d)
+        c1 = dnahm.char_surface(g @ a @ gi, g @ b @ gi, g @ d @ gi)
         scale = 1.0 + np.abs(c0).max(axis=(1, 2))
         assert np.all(np.abs(c1 - c0).max(axis=(1, 2)) <= 1e-12 * scale)
 
@@ -401,14 +411,14 @@ class TestBatchedDiagnosticsMatchPerPointOracles:
         ba, bk = dnahm.evolve(dnahm.random_reality_seed(k, 80 + k, spread), 3)
         assert bk is None
         chain = dnahm.from_braam_austin(ba)
-        for s in dnahm.char_surface(chain.A, chain.B, chain.D):
-            assert_diagnostics_match_oracles(s)
+        for c in dnahm.char_surface(chain.A, chain.B, chain.D):
+            assert_diagnostics_match_oracles(dnahm.SpectralSurface(k=k, c=c))
 
     @pytest.mark.parametrize("p", [1, 50])
     def test_trig_fixture(self, p):
         chain, _ = dnahm.trig_solution(p)
-        for s in dnahm.char_surface(chain.A[:3], chain.B[:3], chain.D[:3]):
-            assert_diagnostics_match_oracles(s)
+        for c in dnahm.char_surface(chain.A[:3], chain.B[:3], chain.D[:3]):
+            assert_diagnostics_match_oracles(dnahm.SpectralSurface(k=2, c=c))
 
     def test_degenerate_slice_surface(self):
         s = surface_k1(1.0, 0.0, 0.0)  # the slice at eta = -1 collapses
