@@ -7,7 +7,6 @@ explicit solutions and boundary conditions.
 """
 
 from .continuum import (
-    NahmState,
     NahmTrajectory,
     NahmTriple,
     ScalingRow,
@@ -16,9 +15,7 @@ from .continuum import (
     integrate_nahm,
     invariant_drift,
     lax_polynomial_coeffs,
-    nahm_rhs,
     residual_scaling,
-    state_from_triple,
 )
 from .evolution import (
     BREAKDOWN_TOL,
@@ -75,7 +72,6 @@ from .model import (
     identity_metric,
     max_dn_residual,
     reality_residual,
-    reconstruct_B,
     to_braam_austin,
 )
 from .spectral import (
@@ -87,7 +83,6 @@ from .spectral import (
     char_surface,
     cokernel_nullity,
     curve_samples,
-    drift_series,
     invariance_drift,
     smoothness_report,
     zeta_slice_roots,

@@ -46,15 +46,6 @@ class NahmTriple:
 
 
 @dataclass(frozen=True)
-class NahmState:
-    """Complex-variable form at parameter z: sigma = T0 + i T1, tau = T2 + i T3."""
-
-    z: float
-    sigma: CMatrix
-    tau: CMatrix
-
-
-@dataclass(frozen=True)
 class NahmTrajectory:
     """Uniform-grid RK4 output over [z0, z1] with cubic Hermite interpolation.
 
@@ -114,26 +105,6 @@ class NahmTrajectory:
     def at(self, z: float) -> NahmTriple:
         """Interpolated triple at z (see ``sample``); raises RangeNotCovered outside."""
         return NahmTriple(*(cmatrix(t) for t in self.sample([z])[0]))
-
-
-def state_from_triple(triple: NahmTriple) -> NahmState:
-    """Complex variables in the T0 = 0 gauge at z = 0: sigma = i T1, tau = T2 + i T3."""
-    return NahmState(z=0.0, sigma=cmatrix(1j * triple.t1), tau=cmatrix(triple.t2 + 1j * triple.t3))
-
-
-def nahm_rhs(state: NahmState) -> tuple[CMatrix, CMatrix]:
-    """Right-hand side (dsigma, dtau) of the complex-variable flow.
-
-    dtau = [sigma, tau] and dsigma = ([sigma, sigma*] + [tau, tau*]) / 2,
-    which in the T0 = 0 gauge (sigma Hermitian) reproduces the triple flow.
-    """
-    sigma, tau = state.sigma, state.tau
-    if sigma.shape != tau.shape or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatch("sigma and tau must be square and of equal size")
-    dtau = sigma @ tau - tau @ sigma
-    sh, th = dagger(sigma), dagger(tau)
-    dsigma = 0.5 * ((sigma @ sh - sh @ sigma) + (tau @ th - th @ tau))
-    return dsigma, dtau
 
 
 def _flow(t: np.ndarray) -> np.ndarray:

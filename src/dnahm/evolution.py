@@ -6,11 +6,12 @@ whose positive square root is the gauge-fixed gamma_{i+1} (so every produced
 gamma is Hermitian positive-definite, the self-adjoint gauge), and the
 evolution equation then gives beta_{i+2} = gamma_{i+1}^{-1} beta_i gamma_{i+1}.
 If H fails to be positive-definite the evolution cannot be continued; that
-is a breakdown, not an error. So is an H that overflows the doubles; its
-lambda_min is reported as NaN. step_backward inverts a forward step, and
-evolve runs either one as the same walk: each step reads the newest link and
-site and appends the next of each, and a backward walk is reversed once at
-its end into chain order.
+is a breakdown, not an error. So is an H that overflows the doubles, in an
+entry or only in its largest eigenvalue; its lambda_min is reported as NaN,
+and neither the steps nor evolve raise a RuntimeWarning for it.
+step_backward inverts a forward step, and evolve runs either one as the same
+walk: each step reads the newest link and site and appends the next of each,
+and a backward walk is reversed once at its end into chain order.
 
 Breakdown is lambda_min(H) <= BREAKDOWN_TOL * ||H||_max (max-abs entry), one
 fixed rule with no per-call override. BREAKDOWN_TOL = 6e-8 comes from the
@@ -83,7 +84,10 @@ def _sqrt_step(h: CMatrix) -> tuple[StepStatus, float, Optional[CMatrix]]:
     scale = max_abs(hs)
     if not math.isfinite(scale):  # H overflowed the doubles
         return StepStatus.BREAKDOWN, math.nan, None
-    lam_min = float(np.linalg.eigvalsh(hs)[0])
+    lam = np.linalg.eigvalsh(hs)
+    if not math.isfinite(lam[-1]):  # finite entries, but an eigenvalue past the doubles
+        return StepStatus.BREAKDOWN, math.nan, None
+    lam_min = float(lam[0])
     if lam_min <= BREAKDOWN_TOL * scale:
         return StepStatus.BREAKDOWN, lam_min, None
     # hs is exactly Hermitian, so positive_sqrt runs at tol = 0 (its floor,
@@ -91,6 +95,7 @@ def _sqrt_step(h: CMatrix) -> tuple[StepStatus, float, Optional[CMatrix]]:
     return StepStatus.ADVANCED, lam_min, linalg.positive_sqrt(hs, tol=0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing H is a breakdown
 def step_forward(gamma_prev: CMatrix, beta_cur: CMatrix) -> StepOutcome:
     """Advance one step: solve for the next gamma, then the next beta, unless H
     meets the fixed breakdown rule (module docstring) or overflows."""
@@ -103,6 +108,7 @@ def step_forward(gamma_prev: CMatrix, beta_cur: CMatrix) -> StepOutcome:
     return StepOutcome(status, lam_min, (cmatrix(gamma_next), cmatrix(beta_next)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in step_forward
 def step_backward(gamma_next: CMatrix, beta_next: CMatrix) -> StepOutcome:
     """Invert a forward step: recover beta_cur, then the previous gamma.
 

@@ -114,9 +114,10 @@ def hermitian_eig(h: CMatrix, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, CM
 
     Returns (eigenvalues ascending, U) with h @ U = U @ diag(eigenvalues)
     and U unitary. Raises NotHermitian if the symmetry check fails,
-    NoConvergence if the underlying iteration gives up or an entry's
-    modulus (so an eigenvalue) exceeds the largest double, and ValueError
-    for a tol that is not a finite number >= 0.
+    NoConvergence if the underlying iteration gives up or an eigenvalue
+    exceeds the largest double (an entry's modulus overflows, or eigh
+    returns the largest eigenvalue as inf), and ValueError for a tol that is
+    not a finite number >= 0.
     """
     require_tolerance(tol)
     hs = _hermitian_part(h, tol)
@@ -124,6 +125,8 @@ def hermitian_eig(h: CMatrix, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, CM
         lam, u = np.linalg.eigh(hs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolve did not converge: {exc}") from exc
+    if lam.size and not math.isfinite(lam[-1]):
+        raise NoConvergence("eigenvalues exceed the largest double")
     return lam, u
 
 

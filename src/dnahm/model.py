@@ -209,28 +209,6 @@ def to_braam_austin(chain: DNChain) -> BAChain:
     return BAChain(k=chain.k, betas=-chain.A, gammas=-chain.Pminus, origin=chain.r0)
 
 
-def reconstruct_B(
-    A: CMatrix,
-    D: CMatrix,
-    left_link: tuple[CMatrix, CMatrix],
-    right_link: tuple[CMatrix, CMatrix],
-) -> tuple[CMatrix, CMatrix, float]:
-    """Both reconstructions of B at a site and their mismatch.
-
-    left_link is (P+_{r-1}, P-_r), right_link is (P+_r, P-_{r+1}). Returns
-    (B_left, B_right, mismatch) where B_left = P+_{r-1} P-_r + D A uses the
-    left link, B_right = P-_{r+1} P+_r + A D uses the right link, and the
-    mismatch vanishes exactly on solutions.
-    """
-    # the site is the middle one of three sites joined by the two links
-    pplus, pminus = (np.stack(pair) for pair in zip(left_link, right_link))
-    b_left_end, b_right_end = _b_at_link_ends(
-        np.stack((A,) * 3), np.stack((D,) * 3), pplus, pminus
-    )
-    b_left, b_right = b_right_end[0], b_left_end[1]
-    return b_left, b_right, max_abs(b_left - b_right)
-
-
 def dn_residuals(chain: DNChain) -> LinkResiduals:
     """Residuals of the discrete Nahm equations on every link."""
     A, B, D, pp, pm = chain.A, chain.B, chain.D, chain.Pplus, chain.Pminus

@@ -67,14 +67,6 @@ class SpectralSurface:
         """Sum of |c[i][j]| |eta|^i |zeta|^j: the natural local scale of evaluate."""
         return float(_magnitude(self.c, np.array([eta]), np.array([zeta]))[0])
 
-    def gradient(self, eta: complex, zeta: complex) -> tuple[complex, complex]:
-        ge, gz = _gradient(self.c, np.array([eta]), np.array([zeta]))
-        return complex(ge[0]), complex(gz[0])
-
-    def zeta_coefficients(self, eta: complex) -> np.ndarray:
-        """Ascending coefficients of the degree-k polynomial zeta -> F(eta, zeta)."""
-        return _zeta_slices(self, np.array([eta]))[0][0]
-
 
 @dataclass(frozen=True)
 class SmoothnessReport:
@@ -282,11 +274,6 @@ def invariance_drift(chain: DNChain) -> float:
     if len(chain.A) < 2:
         raise ChainTooShort("drift needs at least two sites")
     return float(site_surfaces(chain)[1][1:].max())
-
-
-def drift_series(chain: DNChain) -> list[tuple[int, float]]:
-    """Per-site drift against the first site, as (site index, deviation) rows."""
-    return list(zip(range(chain.r0, chain.r1 + 1), site_surfaces(chain)[1].tolist()))
 
 
 def zeta_slice_roots(surface: SpectralSurface, eta: complex) -> np.ndarray:

@@ -21,6 +21,17 @@ def evolved_chain(k, seed, steps=20, spread=None):
     return dnahm.evolve(pair, steps)
 
 
+def overflowing_step_seed(k):
+    """Seed (gamma, beta = 0), k = 3 or 4, whose first step matrix is
+    H = gamma* gamma = c (I + J), J the all-ones matrix: gamma = sqrt(c) (I + a J)
+    with 2a + k a^2 = 1. At k = 4 (c = 0.4e308) every entry of H is finite but its
+    top eigenvalue 5c is not; at k = 3 (c = 0.5e308) the sum H + H* overflows."""
+    c = {3: 0.5e308, 4: 0.4e308}[k]
+    a = (np.sqrt(1.0 + k) - 1.0) / k
+    gamma = np.sqrt(c) * (np.eye(k) + a * np.ones((k, k)))
+    return dnahm.cmatrix(gamma), dnahm.cmatrix(np.zeros((k, k)))
+
+
 def random_cmatrix(rng, k, scale=1.0):
     return dnahm.cmatrix(scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))))
 

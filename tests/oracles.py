@@ -625,11 +625,9 @@ def ward_minus_per_site(chain, eta, zeta, f):
 
 
 def drift_series(chain):
-    """Per-site (index, max |c_r - c_first|) rows from one per-site surface each."""
+    """Per-site max |c_r - c_first|, in site order, from one per-site surface each."""
     base = char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D).c
-    return [
-        (s.r, max_abs(char_surface(s.A, s.B, s.D).c - base)) for s in chain.sites
-    ]
+    return [max_abs(char_surface(s.A, s.B, s.D).c - base) for s in chain.sites]
 
 
 def boundary_rank_check(chain):

@@ -139,6 +139,23 @@ class TestEvolveCommand:
         diag = json.loads(lines[0])
         assert (diag["breakdown_at"], diag["links"]) == (0, 1)
 
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_step_matrix_with_an_overflowing_eigenvalue_is_a_breakdown(
+        self, backward, tmp_path, capsys
+    ):
+        # every entry of H is finite, but its top eigenvalue is not
+        seed = tmp_path / "seed.json"
+        gamma, beta = helpers.overflowing_step_seed(4)
+        dio.save_json(seed, dio.chain_to_document(dnahm.BAChain(k=4, betas=(beta, beta),
+                                                                gammas=(gamma,))))
+        out = tmp_path / "chain.json"
+        argv = ["evolve", "--in", str(seed), "--steps", "3", "--out", str(out)]
+        assert main(argv + ["--backward"] * backward) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert (diag["breakdown_at"], diag["links"]) == (-1 if backward else 0, 1)
+
     def test_huge_step_count_stops_at_the_breakdown(self, tmp_path, capsys):
         # the step loop allocates per step taken, never for the count asked
         out = tmp_path / "chain.json"

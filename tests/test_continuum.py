@@ -13,10 +13,6 @@ from dnahm.errors import DimensionMismatch, FlowBlowUp, RangeNotCovered
 import helpers
 import oracles
 
-PAULI1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-PAULI3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 def euler_f(triple):
     """Extract (f1, f2, f3) from an su(2) Euler-ansatz triple."""
@@ -49,40 +45,6 @@ def euler_top_exact(f, z):
     u0 = ellipkinc(np.arcsin(1 / np.sqrt(1 + (f1 / alpha) ** 2)), m)
     sn, cn, dn, _ = ellipj(u0 - alpha * np.asarray(z), m)
     return alpha * np.stack([cn / sn, dn / sn, 1 / sn], axis=-1)
-
-
-class TestRhs:
-    def test_commuting_diagonals_are_stationary(self):
-        state = dnahm.NahmState(
-            z=0.0,
-            sigma=dnahm.cmatrix(np.diag([1.0, 2.0])),
-            tau=dnahm.cmatrix(np.diag([3.0 + 1j, -1.0])),
-        )
-        dsigma, dtau = dnahm.nahm_rhs(state)
-        assert dnahm.max_abs(dsigma) == 0.0
-        assert dnahm.max_abs(dtau) == 0.0
-
-    def test_euler_top_reduction(self):
-        f = (0.3, 0.4, 0.5)
-        state = dnahm.state_from_triple(dnahm.euler_top_triple(f))
-        assert state.z == 0.0
-        dsigma, dtau = dnahm.nahm_rhs(state)
-        # f1' = f2 f3, f2' = f3 f1, f3' = f1 f2 through the su(2) embedding
-        assert_allclose(dsigma, (f[1] * f[2] / 2) * PAULI1, atol=1e-15)
-        expected_dtau = (f[2] * f[0] / 2) * (-1j * PAULI2) + 1j * (f[0] * f[1] / 2) * (
-            -1j * PAULI3
-        )
-        assert_allclose(dtau, expected_dtau, atol=1e-15)
-
-    def test_finite_difference_oracle(self):
-        triple = dnahm.random_skew_triple(3, seed=40, scale=0.3)
-        eps = 1e-6
-        stepped = dnahm.NahmTriple(*dnahm.integrate_nahm(triple, 0.0, eps, 1).nodes[-1])
-        s0 = dnahm.state_from_triple(triple)
-        s1 = dnahm.state_from_triple(stepped)
-        dsigma, dtau = dnahm.nahm_rhs(s0)
-        assert dnahm.max_abs((s1.sigma - s0.sigma) / eps - dsigma) < 1e-5
-        assert dnahm.max_abs((s1.tau - s0.tau) / eps - dtau) < 1e-5
 
 
 class TestIntegrate:

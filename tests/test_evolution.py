@@ -165,6 +165,30 @@ class TestStepProperties:
         assert out.produced[0][0, 0] == pytest.approx(1e-6, rel=1e-12)
 
 
+class TestOverflowingStepMatrix:
+    """A step matrix that overflows is a breakdown with NaN lambda_min at every
+    caller, not a RuntimeWarning (an error under this suite) or a refusal."""
+
+    def test_k4_entries_are_finite_but_not_the_top_eigenvalue(self):
+        gamma, _ = helpers.overflowing_step_seed(4)
+        h = gamma.conj().T @ gamma
+        assert np.isfinite(h).all() and np.linalg.eigvalsh(h)[-1] == np.inf
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("step", [dnahm.step_forward, dnahm.step_backward],
+                             ids=["forward", "backward"])
+    def test_step_breaks_down(self, step, k):
+        out = step(*helpers.overflowing_step_seed(k))
+        assert out.status is StepStatus.BREAKDOWN and np.isnan(out.lambda_min)
+        assert out.produced is None
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_evolve_breaks_down_at_the_seed_link(self, backward, k):
+        chain, bk = dnahm.evolve(helpers.overflowing_step_seed(k), 3, backward=backward)
+        assert bk == (-1 if backward else 0) and len(chain.gammas) == 1
+
+
 class TestEvolve:
     def test_scalar_constant_chain(self):
         chain, bk = dnahm.evolve((dnahm.cmatrix([[2.0]]), dnahm.cmatrix([[5j]])), 10)

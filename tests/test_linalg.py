@@ -149,6 +149,16 @@ class TestPositiveSqrt:
                 with pytest.raises(DimensionMismatch, match="must be finite"):
                     call(np.array([[1.0, np.inf], [np.inf, 1.0]], dtype=complex))
 
+    def test_eigenvalue_past_the_largest_double(self):
+        # every entry and its modulus are finite, but eigh returns the top
+        # eigenvalue (2e308 and 2.7e308) as inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in ([[1e308, 1e308], [1e308, 1e308]], [[1.7e308, 1e308], [1e308, 1.7e308]]):
+                for call in (dnahm.hermitian_eig, dnahm.positive_sqrt):
+                    with pytest.raises(NoConvergence, match="exceed the largest double"):
+                        call(dnahm.cmatrix(m))
+
     def test_not_positive_definite_carries_lambda_min(self):
         with pytest.raises(NotPositiveDefinite) as err:
             dnahm.positive_sqrt(dnahm.cmatrix(np.diag([1.0, -1.0])))

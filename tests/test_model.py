@@ -92,40 +92,6 @@ class TestToBraamAustin:
         assert dnahm.ba_residuals(ba).max < 1e-13
 
 
-class TestReconstructB:
-    def test_scalar_mismatch_zero(self):
-        a, d, pp, pm = 1.5 + 0.5j, -0.25j, 2.0, -0.5
-        b_left, b_right, mismatch = dnahm.reconstruct_B(
-            dnahm.cmatrix([[a]]), dnahm.cmatrix([[d]]),
-            (dnahm.cmatrix([[pp]]), dnahm.cmatrix([[pm]])),
-            (dnahm.cmatrix([[pp]]), dnahm.cmatrix([[pm]])),
-        )
-        assert b_left[0, 0] == pytest.approx(pm * pp + a * d)
-        assert mismatch == pytest.approx(0.0, abs=1e-15)
-
-    def test_trig_interior_site(self):
-        # encodes sin(r phi) sin((r+2) phi) + sin(phi)^2 = sin((r+1) phi)^2
-        chain, _ = dnahm.trig_solution(2)
-        site = oracles.site_at(chain, 2)
-        left = oracles.link_at(chain, 1)
-        right = oracles.link_at(chain, 2)
-        b_left, b_right, mismatch = dnahm.reconstruct_B(
-            site.A, site.D, (left.Pplus, left.Pminus), (right.Pplus, right.Pminus)
-        )
-        assert mismatch < 1e-14
-        assert dnahm.max_abs(b_right - site.B) < 1e-14
-
-    def test_random_data_matches_direct_formula(self):
-        rng = np.random.default_rng(11)
-        mats = [helpers.random_cmatrix(rng, 3) for _ in range(6)]
-        a, d, pp0, pm0, pp1, pm1 = mats
-        b_left, b_right, mismatch = dnahm.reconstruct_B(a, d, (pp0, pm0), (pp1, pm1))
-        assert np.array_equal(b_left, pp0 @ pm0 + d @ a)
-        assert np.array_equal(b_right, pm1 @ pp1 + a @ d)
-        assert mismatch == dnahm.max_abs(b_left - b_right)
-        assert mismatch > 0
-
-
 class TestDNResiduals:
     def test_trig_solution(self):
         chain, _ = dnahm.trig_solution(2)
@@ -299,7 +265,7 @@ class TestStackedKernelsMatchPerSite:
                  oracles.ward_minus_per_site(dn, eta, zeta, f)),
             ):
                 assert got.start == want.start and same_bits(got.values, want.values)
-        assert dnahm.drift_series(dn) == oracles.drift_series(dn)
+        assert dnahm.spectral.site_surfaces(dn)[1].tolist() == oracles.drift_series(dn)
 
 
 class TestChainStorage:

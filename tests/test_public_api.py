@@ -77,3 +77,19 @@ def test_chain_sized_results_are_arrays():
     z = np.zeros((3, 2, 2))
     c = dnahm.char_surface(z, z, z)
     assert type(c) is np.ndarray and c.shape == (3, 3, 3)
+
+
+def test_each_rule_has_one_path():
+    # the Nahm flow is continuum._flow, the drift column comes from
+    # site_surfaces, the surface's derivatives and slices are the batched
+    # spectral._gradient and _zeta_slices, and B from the links is
+    # model._b_at_link_ends, whose callers are from_braam_austin and dn_residuals
+    deleted = {
+        dnahm.continuum: ("NahmState", "state_from_triple", "nahm_rhs"),
+        dnahm.spectral: ("drift_series",),
+        dnahm.model: ("reconstruct_B",),
+        dnahm.SpectralSurface: ("gradient", "zeta_coefficients"),
+    }
+    for owner, names in deleted.items():
+        for name in names:
+            assert not hasattr(owner, name) and not hasattr(dnahm, name), name
