@@ -75,9 +75,6 @@ from .model import (
     to_braam_austin,
 )
 from .spectral import (
-    CurvePoint,
-    SmoothnessReport,
-    SpectralSurface,
     antidiagonal_clearance,
     bivariate_coeffs,
     char_surface,

@@ -200,7 +200,6 @@ def cmd_verify(args) -> int:
 def cmd_spectral(args) -> int:
     chain, _, _ = _load_dn_chain(args.infile)
     c, drift = spectral.site_surfaces(chain)
-    base = spectral.SpectralSurface(k=chain.k, c=c[0])  # site 0's curve, for the diagnostics
     sites = list(range(chain.r0, chain.r1 + 1))
     series = [[r, d] for r, d in zip(sites, drift.tolist())]
     doc: dict = {
@@ -210,21 +209,14 @@ def cmd_spectral(args) -> int:
         "surfaces": io.matrix_to_pairs(c),
         "drift": {"max": float(drift.max()), "per_site": series},
     }
-    if args.samples:
-        points = spectral.curve_samples(base, args.samples)
-        report = spectral.smoothness_report(base, points)
-        doc["samples"] = [
-            {"eta": [p.eta.real, p.eta.imag], "zeta": [p.zeta.real, p.zeta.imag]}
-            for p in points
-        ]
-        doc["smoothness"] = {
-            "min_gradient": report.min_gradient,
-            "flagged": len(report.flagged),
-        }
+    if args.samples:  # the curve diagnostics read site 0's grid
+        eta, zeta = spectral.curve_samples(c[0], args.samples)
+        min_gradient, flagged = spectral.smoothness_report(c[0], eta, zeta)
+        pairs = zip(io.matrix_to_pairs(eta), io.matrix_to_pairs(zeta))
+        doc["samples"] = [{"eta": e, "zeta": z} for e, z in pairs]
+        doc["smoothness"] = {"min_gradient": min_gradient, "flagged": int(flagged.sum())}
     if args.antidiagonal:
-        doc["antidiagonal_clearance"] = spectral.antidiagonal_clearance(
-            base, args.antidiagonal
-        )
+        doc["antidiagonal_clearance"] = spectral.antidiagonal_clearance(c[0], args.antidiagonal)
     io.save_json(args.out, doc)
     if args.drift is not None:
         io.write_csv(args.drift, ["site", "max_abs_drift"], series)

@@ -28,10 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ChainTooShort, EtaNearZero, PointNotOnCurve, SingularPminus
+from .errors import (
+    ChainTooShort, DimensionMismatch, EtaNearZero, PointNotOnCurve, SingularPminus
+)
 from .linalg import max_abs
 from .model import DNChain
-from .spectral import CurvePoint, pencil, pencil_at_curve_point
+from .spectral import pencil, pencil_at_curve_point
 
 
 @dataclass(frozen=True)
@@ -152,49 +154,51 @@ def _link_index(chain: DNChain, r: int) -> int:
 
 
 def transport_covector(
-    chain: DNChain, r: int, point: CurvePoint, g_right: np.ndarray
+    chain: DNChain, r: int, eta: complex, zeta: complex, g_right: np.ndarray
 ) -> np.ndarray:
     """Transport a covector across link (r, r+1) so that [g^t W-] vanishes.
 
     Given g at site r+1, returns g at site r:
         g_r^t = -(1/eta) g_{r+1}^t (zeta + D_{r+1}) (P-_{r+1})^{-1}.
-    Raises SingularPminus when P-_{r+1} fails ``linalg.require_invertible``.
+    Raises DimensionMismatch for a non-finite point or g_right, or a g_right
+    of another shape than (k,), and SingularPminus when P-_{r+1} fails
+    ``linalg.require_invertible``.
     """
-    if abs(point.eta) <= 1e-8:
+    if not np.isfinite([eta, zeta]).all():
+        raise DimensionMismatch("point coordinates must be finite")
+    g_right = np.asarray(g_right)
+    if g_right.shape != (chain.k,) or not np.isfinite(g_right).all():
+        raise DimensionMismatch(f"g_right must be a finite length-{chain.k} vector")
+    if abs(eta) <= 1e-8:
         raise EtaNearZero("transport needs |eta| > 1e-8")
     i = _link_index(chain, r)
     pminus = chain.Pminus[i]
     linalg.require_invertible(pminus, error=SingularPminus)
     eye = np.eye(chain.k, dtype=np.complex128)
-    return (
-        -(1.0 / point.eta)
-        * g_right
-        @ (point.zeta * eye + chain.D[i + 1])
-        @ np.linalg.inv(pminus)
-    )
+    return -(1.0 / eta) * g_right @ (zeta * eye + chain.D[i + 1]) @ np.linalg.inv(pminus)
 
 
-def dual_transport_check(chain: DNChain, r: int, point: CurvePoint) -> float:
+def dual_transport_check(chain: DNChain, r: int, eta: complex, zeta: complex) -> float:
     """Transport a left null covector of M_{r+1} across link (r, r+1).
 
-    Computes g_{r+1} with g^t M_{r+1} = 0, transports it so that
-    [g^t W-] = 0, and returns ||g_r^t M_r|| / ||g_r||. On solutions this
-    vanishes: annihilators of M march down the chain one twist at a time,
-    which is the step-by-step form of the straight-line motion of the
-    associated line bundle. Raises PointNotOnCurve when the point is off
-    M_{r+1}'s curve or M_{r+1}'s smallest singular value exceeds 1e-6 times
-    its scale (or 1).
+    Computes g_{r+1} with g^t M_{r+1} = 0 at the curve point (eta, zeta),
+    transports it so that [g^t W-] = 0, and returns ||g_r^t M_r|| / ||g_r||.
+    On solutions this vanishes: annihilators of M march down the chain one
+    twist at a time, which is the step-by-step form of the straight-line
+    motion of the associated line bundle. Raises PointNotOnCurve when the
+    point is off M_{r+1}'s curve or M_{r+1}'s smallest singular value
+    exceeds 1e-6 times its scale (or 1).
     """
     i = _link_index(chain, r)
     A, B, D = chain.A, chain.B, chain.D
-    m_right, m_scale = pencil_at_curve_point(A[i + 1], B[i + 1], D[i + 1], point)
+    m_right, m_scale = pencil_at_curve_point(A[i + 1], B[i + 1], D[i + 1], eta, zeta)
     # null covector from the transpose's nullspace
     _, s, vh = np.linalg.svd(m_right.T)
     if s[-1] > 1e-6 * max(1.0, m_scale):
         raise PointNotOnCurve("M at the right site has no left null covector")
     g_right = vh[-1].conj()  # direction of the smallest singular value
-    g_left = transport_covector(chain, r, point, g_right)
-    m_left = pencil(A[i], B[i], D[i])(point.eta, point.zeta)
+    g_left = transport_covector(chain, r, eta, zeta, g_right)
+    m_left = pencil(A[i], B[i], D[i])(eta, zeta)
     norm = float(np.linalg.norm(g_left))
     if norm == 0.0:
         raise PointNotOnCurve("transported covector vanished")

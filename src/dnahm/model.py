@@ -269,14 +269,16 @@ def identity_metric(chain: DNChain) -> np.ndarray:
 
 
 def validate_metric(metric: Sequence[CMatrix], chain: DNChain) -> np.ndarray:
-    """The metric as an (n, k, k) stack: one Hermitian positive-definite k x k
-    matrix per site of the chain."""
+    """The metric as an (n, k, k) stack: one finite Hermitian positive-definite
+    k x k matrix per site of the chain."""
     g = np.asarray(metric)
     if g.shape != chain.A.shape:
         raise DimensionMismatch(
             f"need one {chain.k} x {chain.k} metric matrix per site "
             f"({len(chain.A)} sites), got shape {g.shape}"
         )
+    if not np.isfinite(g).all():
+        raise DimensionMismatch("matrix entries must be finite")
     dev = np.abs(g - dagger(g)).max(axis=(1, 2))
     bad = np.flatnonzero(dev > 1e-9 * (1.0 + np.abs(g).max(axis=(1, 2))))
     if bad.size:

@@ -15,10 +15,8 @@ transform in each variable, which is exactly conditioned at these sizes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
-from typing import Callable, Sequence
+from numbers import Integral
+from typing import Callable
 
 import numpy as np
 
@@ -37,41 +35,17 @@ from .model import DNChain
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine coordinates of a point on (or near) a surface's zero set."""
-
-    eta: complex
-    zeta: complex
-
-
-@dataclass(frozen=True)
-class SpectralSurface:
-    """Coefficient grid of a bidegree (k, k) polynomial, c[i][j] on eta^i zeta^j."""
-
-    k: int
-    c: np.ndarray
-
-    def __post_init__(self):
-        if self.c.shape != (self.k + 1, self.k + 1):
-            raise DimensionMismatch(f"coefficient grid must be {self.k + 1} square")
-        if not np.isfinite(self.c).all():
-            raise DimensionMismatch("coefficient grid entries must be finite")
-        if abs(self.c[0, self.k] - 1.0) > 1e-9 * (1.0 + max_abs(self.c)):
-            raise DimensionMismatch("surface normalization c[0][k] = 1 violated")
-
-    def evaluate(self, eta: complex, zeta: complex) -> complex:
-        return complex(_evaluate(self.c, np.array([eta]), np.array([zeta]))[0])
-
-    def magnitude(self, eta: complex, zeta: complex) -> float:
-        """Sum of |c[i][j]| |eta|^i |zeta|^j: the natural local scale of evaluate."""
-        return float(_magnitude(self.c, np.array([eta]), np.array([zeta]))[0])
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    min_gradient: float
-    flagged: tuple[CurvePoint, ...]
+def _grid(c: np.ndarray) -> np.ndarray:
+    """A curve diagnostic's grid c[i][j] of eta^i zeta^j as an array, refused with
+    DimensionMismatch unless it is square, finite and normalized, c[0][k] = 1."""
+    c = np.asarray(c)
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size:
+        raise DimensionMismatch(f"coefficient grid must be (k + 1) x (k + 1), got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise DimensionMismatch("coefficient grid entries must be finite")
+    if abs(c[0, -1] - 1.0) > 1e-9 * (1.0 + max_abs(c)):
+        raise DimensionMismatch("surface normalization c[0][k] = 1 violated")
+    return c
 
 
 # The batched evaluation path. Every function below takes 1-D arrays of
@@ -129,26 +103,22 @@ def _gradient(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> tuple[np.ndar
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _zeta_slices(surface: SpectralSurface, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The zeta-slice coefficient rows at every eta, and which slices are degenerate.
+def _zeta_slices(c: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zeta-slice coefficient rows of the grid c at every eta, and which
+    slices are degenerate.
 
-    Degeneracy is judged against the surface's coefficient scale as well as
+    Degeneracy is judged against the grid's coefficient scale as well as
     the slice's own, so a slice where the whole polynomial nearly vanishes
     (a line of the curve) is reported rather than root-solved.
     """
-    coeffs = (_powers(eta, surface.k)[:, None, :] @ surface.c)[:, 0]
-    scale = np.maximum(max(1.0, float(np.abs(surface.c).max())), np.abs(coeffs).max(axis=1))
+    coeffs = (_powers(eta, len(c) - 1)[:, None, :] @ c)[:, 0]
+    scale = np.maximum(max(1.0, float(np.abs(c).max())), np.abs(coeffs).max(axis=1))
     return coeffs, np.abs(coeffs[:, -1]) <= 1e-12 * scale
 
 
 def _unity_roots(n: int) -> np.ndarray:
     """The n-th roots of unity exp(2 pi i m / n), m = 0..n-1."""
     return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _unity_circle(radii: np.ndarray, n: int) -> np.ndarray:
-    """eta = radius exp(2 pi i m / n) for m = 0..n-1 on each circle, radius-major."""
-    return (radii[:, None] * _unity_roots(n)).ravel()
 
 
 # A curve diagnostic holds a few arrays of points x (k + 1)^2 complex
@@ -160,10 +130,11 @@ MAX_CURVE_ELEMENTS = 2_000_000
 
 
 def _require_budget(points: int, k: int, what: str) -> None:
-    """Refuse, before allocating, a negative point count (ValueError) or a
-    request of points x (k + 1)^2 elements over budget (TooManyPoints)."""
-    if points < 0:
-        raise ValueError(f"{what}: point count must be >= 0, got {points}")
+    """Refuse, before allocating, a point count that is negative or not an
+    integer (ValueError), or a request of points x (k + 1)^2 elements over
+    budget (TooManyPoints)."""
+    if not isinstance(points, Integral) or points < 0:
+        raise ValueError(f"{what}: point count must be >= 0 and an integer, got {points}")
     if points * (k + 1) ** 2 > MAX_CURVE_ELEMENTS:
         raise TooManyPoints(
             f"{what}: {points} points at k = {k} are {points * (k + 1) ** 2} elements "
@@ -202,36 +173,36 @@ def pencil(A: CMatrix, B: CMatrix, D: CMatrix) -> Callable[[complex, complex], C
 
 
 def pencil_at_curve_point(
-    A: CMatrix, B: CMatrix, D: CMatrix, point: CurvePoint
+    A: CMatrix, B: CMatrix, D: CMatrix, eta: complex, zeta: complex
 ) -> tuple[CMatrix, float]:
-    """M at a curve point and the natural magnitude of its terms, |eta zeta| ||A||
-    + |eta| ||B|| + |zeta| + ||D||; raises PointNotOnCurve if |F| exceeds 1e-6
-    times the surface's local magnitude (or 1), or is NaN.
+    """M at the curve point (eta, zeta) and the natural magnitude of its terms,
+    |eta zeta| ||A|| + |eta| ||B|| + |zeta| + ||D||; raises PointNotOnCurve unless
+    |F| <= 1e-6 times the surface's local magnitude (or 1) and both are finite.
 
     Singular values measured against that scale, not only sigma_max, keep a
     rank decision meaningful when M itself is nearly zero (k = 1).
     """
-    eta, zeta = point.eta, point.zeta
-    surface = char_surface(A, B, D)
-    residual = abs(surface.evaluate(eta, zeta))
-    if not residual <= 1e-6 * max(1.0, surface.magnitude(eta, zeta)):  # NaN is off the curve
+    c, e, z = char_surface(A, B, D), np.array([eta]), np.array([zeta])
+    residual = abs(complex(_evaluate(c, e, z)[0]))
+    bound = 1e-6 * max(1.0, float(_magnitude(c, e, z)[0]))
+    if not residual <= bound < np.inf:  # a NaN F or an overflowed magnitude is off the curve
         raise PointNotOnCurve(f"|F| = {residual:.3e} at ({eta}, {zeta})")
     scale = abs(eta * zeta) * max_abs(A) + abs(eta) * max_abs(B) + abs(zeta) + max_abs(D)
     return pencil(A, B, D)(eta, zeta), scale
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing det is refused below
-def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
-    """Spectral surface of a site triple, or the coefficient grids of stacked triples.
+def char_surface(A: CMatrix, B: CMatrix, D: CMatrix) -> np.ndarray:
+    """Coefficient grid of a site triple, or the grids of stacked triples.
 
-    A, B and D are k x k matrices, giving a SpectralSurface, or (n, k, k)
-    stacks of n site triples, giving one read-only (n, k + 1, k + 1) array
-    whose row i is site i's grid. The coefficients come from one
+    A, B and D are k x k matrices, or (n, k, k) stacks of n site triples;
+    the result is one read-only array of shape A.shape[:-2] + (k + 1, k + 1),
+    c[..., i, j] on eta^i zeta^j. The coefficients come from one
     ``bivariate_coeffs`` call whose f is a batched det over the stack, so
     the working memory is a few (n, k, k) arrays. A grid that loses the
     identity-block normalization raises NoConvergence naming the stacked
-    site; a grid with a non-finite entry (a determinant that overflowed)
-    raises DimensionMismatch.
+    site (0 for a single triple); a grid with a non-finite entry (a
+    determinant that overflowed) raises DimensionMismatch.
     """
     A, B, D = (np.asarray(m) for m in (A, B, D))
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not A.shape == B.shape == D.shape:
@@ -239,19 +210,19 @@ def char_surface(A: CMatrix, B: CMatrix, D: CMatrix):
     if not all(np.isfinite(m).all() for m in (A, B, D)):
         raise DimensionMismatch("matrix entries must be finite")
     k = A.shape[-1]
-    stacked = A.ndim == 3
-    a, b, d = (m if stacked else m[None] for m in (A, B, D))
-    m = pencil(a, b, d)
+    m = pencil(A, B, D)
     c = bivariate_coeffs(lambda eta, zeta: np.linalg.det(m(eta, zeta)), k, k)
-    lost = np.abs(c[:, 0, k] - 1.0) > 1e-12 * (1.0 + np.abs(c).max(axis=(1, 2)))
+    lost = np.abs(c[..., 0, k] - 1.0) > 1e-12 * (1.0 + np.abs(c).max(axis=(-2, -1)))
     if lost.any():
-        where = f" at stacked site {int(np.argmax(lost))}" if stacked else ""
-        raise NoConvergence(f"coefficient extraction lost the identity-block normalization{where}")
-    c[:, 0, k] = 1.0  # forced by the identity block
+        raise NoConvergence(
+            "coefficient extraction lost the identity-block normalization "
+            f"at stacked site {np.argmax(lost)}"
+        )
+    c[..., 0, k] = 1.0  # forced by the identity block
     if not np.isfinite(c).all():  # NaN and inf pass the normalization test above
         raise DimensionMismatch("coefficient grid entries must be finite")
     c.setflags(write=False)
-    return c if stacked else SpectralSurface(k=k, c=c[0])
+    return c
 
 
 def site_surfaces(chain: DNChain) -> tuple[np.ndarray, np.ndarray]:
@@ -276,34 +247,36 @@ def invariance_drift(chain: DNChain) -> float:
     return float(site_surfaces(chain)[1][1:].max())
 
 
-def zeta_slice_roots(surface: SpectralSurface, eta: complex) -> np.ndarray:
+def zeta_slice_roots(c: np.ndarray, eta: complex) -> np.ndarray:
     """The k roots in zeta of F(eta, .), raising DegenerateSlice on collapse.
 
     The one-slice case of ``curve_samples``, with the same degeneracy rule.
     """
-    coeffs, degenerate = _zeta_slices(surface, np.array([eta]))
+    coeffs, degenerate = _zeta_slices(_grid(c), np.array([eta]))
     if degenerate[0]:
         raise DegenerateSlice(f"zeta-degree collapses at eta = {eta}")
     return linalg.poly_roots(coeffs[0])
 
 
-def curve_samples(surface: SpectralSurface, n_eta: int) -> list[CurvePoint]:
-    """Sample the curve over the n_eta-th roots of unity in eta.
+def curve_samples(c: np.ndarray, n_eta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the curve of the grid c over the n_eta-th roots of unity in eta.
 
-    For each eta the k roots of the zeta-slice polynomial are returned;
-    every point satisfies |F| <= 1e-8 times the local magnitude, else
-    NoConvergence is raised. Degenerate slices are skipped (the returned
-    list is shorter) and their count logged as a warning. All slices are
-    root-solved by one stacked ``poly_roots`` call; a request over
-    ``MAX_CURVE_ELEMENTS`` raises TooManyPoints before anything is allocated.
+    Returns (eta, zeta), two (m,) arrays holding the k zeta roots of each
+    slice, slice by slice; every point satisfies |F| <= 1e-8 times the local
+    magnitude, else NoConvergence is raised. Degenerate slices are skipped
+    and their count logged as a warning. All slices are root-solved by one
+    stacked ``poly_roots`` call; a request over ``MAX_CURVE_ELEMENTS``
+    raises TooManyPoints before anything is allocated.
     """
-    _require_budget(n_eta, surface.k, "curve_samples")
+    c = _grid(c)
+    k = len(c) - 1
+    _require_budget(n_eta, k, "curve_samples")
     etas = _unity_roots(n_eta)
-    coeffs, degenerate = _zeta_slices(surface, etas)
-    eta = np.repeat(etas[~degenerate], surface.k)
+    coeffs, degenerate = _zeta_slices(c, etas)
+    eta = np.repeat(etas[~degenerate], k)
     zeta = linalg.poly_roots(coeffs[~degenerate]).ravel()
-    residual = np.abs(_evaluate(surface.c, eta, zeta))
-    failed = np.flatnonzero(residual > 1e-8 * _magnitude(surface.c, eta, zeta))
+    residual = np.abs(_evaluate(c, eta, zeta))
+    failed = np.flatnonzero(residual > 1e-8 * _magnitude(c, eta, zeta))
     if failed.size:
         i = failed[0]
         raise NoConvergence(
@@ -311,36 +284,37 @@ def curve_samples(surface: SpectralSurface, n_eta: int) -> list[CurvePoint]:
         )
     if degenerate.any():
         logger.warning("curve_samples skipped %d degenerate eta slices", int(degenerate.sum()))
-    return list(map(CurvePoint, eta.tolist(), zeta.tolist()))
+    return eta, zeta
 
 
-def smoothness_report(surface: SpectralSurface, samples: Sequence[CurvePoint]) -> SmoothnessReport:
-    """Gradient-vanishing scan: flags samples where dF is suspiciously small.
+def smoothness_report(c: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> tuple:
+    """Gradient-vanishing scan of the points (eta[i], zeta[i]) on the grid c's curve.
 
-    A vanishing gradient at a curve point marks it singular (a node of a
-    reducible curve, for instance). A sample is flagged when |dF| is below
-    1e-6 times the natural magnitude bound of the gradient there (or 1): the
-    gradient of the grid |c| at |eta|, |zeta|, summed over both variables.
+    Returns (min_gradient, flagged): the least |dF| (0.0 for no points) and
+    a boolean (m,) mask. A vanishing gradient at a curve point marks it
+    singular (a node of a reducible curve, for instance). A point is flagged
+    when |dF| is below 1e-6 times the natural magnitude bound of the
+    gradient there (or 1): the gradient of the grid |c| at |eta|, |zeta|,
+    summed over both variables.
     """
-    coords = np.array(list(map(attrgetter("eta", "zeta"), samples)), dtype=np.complex128)
-    eta, zeta = coords.reshape(-1, 2).T
-    ge, gz = _gradient(surface.c, eta, zeta)
+    c = _grid(c)
+    eta, zeta = (np.asarray(x, dtype=np.complex128) for x in (eta, zeta))
+    if eta.ndim != 1 or eta.shape != zeta.shape:
+        raise DimensionMismatch(f"eta and zeta must be (m,) arrays, got {eta.shape}, {zeta.shape}")
+    ge, gz = _gradient(c, eta, zeta)
     gnorm = np.hypot(np.abs(ge), np.abs(gz))
-    se, sz = _gradient(np.abs(surface.c), np.abs(eta), np.abs(zeta))
+    se, sz = _gradient(np.abs(c), np.abs(eta), np.abs(zeta))
     flagged = gnorm < 1e-6 * np.maximum(1.0, se + sz)
-    return SmoothnessReport(
-        min_gradient=float(gnorm.min()) if gnorm.size else 0.0,
-        flagged=tuple(compress(samples, flagged)),
-    )
+    return (float(gnorm.min()) if gnorm.size else 0.0), flagged
 
 
-def cokernel_nullity(A: CMatrix, B: CMatrix, D: CMatrix, point: CurvePoint) -> int:
+def cokernel_nullity(A: CMatrix, B: CMatrix, D: CMatrix, eta: complex, zeta: complex) -> int:
     """Nullity of M(eta, zeta) at a curve point; 1 at smooth points.
 
     Counts singular values at or below RANK_TOL times the larger of sigma_max
     and the scale from ``pencil_at_curve_point``.
     """
-    m, m_scale = pencil_at_curve_point(A, B, D, point)
+    m, m_scale = pencil_at_curve_point(A, B, D, eta, zeta)
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s <= linalg.RANK_TOL * max(float(s[0]), m_scale)))
 
@@ -349,8 +323,8 @@ def cokernel_nullity(A: CMatrix, B: CMatrix, D: CMatrix, point: CurvePoint) -> i
 ANTIDIAGONAL_RADII = (0.5, 1.0, 2.0)
 
 
-def antidiagonal_clearance(surface: SpectralSurface, n: int) -> float:
-    """Minimum rescaled |F| along the anti-diagonal zeta = -1/conj(eta).
+def antidiagonal_clearance(c: np.ndarray, n: int) -> float:
+    """Minimum rescaled |F| of the grid c along the anti-diagonal zeta = -1/conj(eta).
 
     Sampled over n angles on each circle of ``ANTIDIAGONAL_RADII``, with the
     homogeneous rescaling |conj(eta)^k F| / (1 + |eta|^2)^k that stays
@@ -359,9 +333,10 @@ def antidiagonal_clearance(surface: SpectralSurface, n: int) -> float:
     intersection. Every point is evaluated at once; a request over
     ``MAX_CURVE_ELEMENTS`` raises TooManyPoints before anything is allocated.
     """
-    k = surface.k
+    c = _grid(c)
+    k = len(c) - 1
     _require_budget(len(ANTIDIAGONAL_RADII) * n, k, "antidiagonal_clearance")
-    eta = _unity_circle(np.array(ANTIDIAGONAL_RADII), n)
-    value = _evaluate(surface.c, eta, -1.0 / np.conj(eta))
+    eta = (np.array(ANTIDIAGONAL_RADII)[:, None] * _unity_roots(n)).ravel()  # radius-major
+    value = _evaluate(c, eta, -1.0 / np.conj(eta))
     rescaled = np.abs(np.conj(eta) ** k * value) / (1.0 + np.abs(eta) ** 2) ** k
     return float(rescaled.min(initial=np.inf))

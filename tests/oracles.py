@@ -51,13 +51,7 @@ from dnahm.fixtures import BoundaryRanks
 from dnahm.lax import WardSection, ward_minus, ward_plus
 from dnahm.linalg import cmatrix, dagger, matrix_rank, max_abs
 from dnahm.model import BAChain, BAResiduals, DNChain, DNLink, DNSite, LinkResiduals
-from dnahm.spectral import (
-    CurvePoint,
-    SmoothnessReport,
-    SpectralSurface,
-    bivariate_coeffs,
-    pencil,
-)
+from dnahm.spectral import bivariate_coeffs, pencil
 
 
 def poly_mul2(a, b):
@@ -404,8 +398,8 @@ def save_json(path, doc: dict) -> None:
 # a stack of sites.
 
 
-def char_surface(A, B, D) -> SpectralSurface:
-    """Spectral surface of a site triple."""
+def char_surface(A, B, D):
+    """Coefficient grid of a site triple."""
     k = A.shape[0]
     for m in (A, B, D):
         if m.shape != (k, k):
@@ -420,7 +414,7 @@ def char_surface(A, B, D) -> SpectralSurface:
         raise NoConvergence("coefficient extraction lost the identity-block normalization")
     c[0, k] = 1.0  # forced by the identity block
     c.setflags(write=False)
-    return SpectralSurface(k=k, c=c)
+    return c
 
 
 # Per-site chains: frozen DNSite/DNLink objects with explicit indices, and the
@@ -626,8 +620,8 @@ def ward_minus_per_site(chain, eta, zeta, f):
 
 def drift_series(chain):
     """Per-site max |c_r - c_first|, in site order, from one per-site surface each."""
-    base = char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D).c
-    return [max_abs(char_surface(s.A, s.B, s.D).c - base) for s in chain.sites]
+    base = char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
+    return [max_abs(char_surface(s.A, s.B, s.D) - base) for s in chain.sites]
 
 
 def boundary_rank_check(chain):
@@ -638,91 +632,92 @@ def boundary_rank_check(chain):
     )
 
 
-# Per-point curve diagnostics: one Python evaluation per sample, slice, angle
-# or trajectory node; the library evaluates every point in one batched
-# expression and every slice's roots in one stacked poly_roots call.
+# Per-point curve diagnostics on a coefficient grid c: one Python evaluation
+# per sample, slice, angle or trajectory node; the library evaluates every
+# point in one batched expression and every slice's roots in one stacked
+# poly_roots call.
 
 
-def evaluate(surface, eta, zeta):
-    e = eta ** np.arange(surface.k + 1)
-    z = zeta ** np.arange(surface.k + 1)
-    return complex(e @ surface.c @ z)
+def evaluate(c, eta, zeta):
+    e = eta ** np.arange(len(c))
+    z = zeta ** np.arange(len(c))
+    return complex(e @ c @ z)
 
 
-def magnitude(surface, eta, zeta):
-    e = abs(eta) ** np.arange(surface.k + 1)
-    z = abs(zeta) ** np.arange(surface.k + 1)
-    return float(e @ np.abs(surface.c) @ z)
+def magnitude(c, eta, zeta):
+    e = abs(eta) ** np.arange(len(c))
+    z = abs(zeta) ** np.arange(len(c))
+    return float(e @ np.abs(c) @ z)
 
 
-def gradient(surface, eta, zeta):
-    i = np.arange(surface.k + 1)
+def gradient(c, eta, zeta):
+    i = np.arange(len(c))
     e, z = eta ** i, zeta ** i
     de = np.concatenate(([0.0], i[1:] * eta ** (i[1:] - 1)))
     dz = np.concatenate(([0.0], i[1:] * zeta ** (i[1:] - 1)))
-    return complex(de @ surface.c @ z), complex(e @ surface.c @ dz)
+    return complex(de @ c @ z), complex(e @ c @ dz)
 
 
-def zeta_coefficients(surface, eta):
-    return (eta ** np.arange(surface.k + 1)) @ surface.c
+def zeta_coefficients(c, eta):
+    return (eta ** np.arange(len(c))) @ c
 
 
-def zeta_slice_roots(surface, eta):
-    coeffs = zeta_coefficients(surface, eta)
-    scale = max(1.0, float(np.abs(surface.c).max()), float(np.abs(coeffs).max()))
+def zeta_slice_roots(c, eta):
+    coeffs = zeta_coefficients(c, eta)
+    scale = max(1.0, float(np.abs(c).max()), float(np.abs(coeffs).max()))
     if abs(coeffs[-1]) <= 1e-12 * scale:
         raise DegenerateSlice(f"zeta-degree collapses at eta = {eta}")
     return linalg.poly_roots(coeffs)
 
 
-def curve_samples(surface, n_eta, radius=1.0, residual_tol=1e-8):
-    """Sample points and the number of skipped degenerate slices."""
+def curve_samples(c, n_eta, radius=1.0, residual_tol=1e-8):
+    """Sample points as (eta, zeta) pairs, and the number of skipped degenerate slices."""
     points = []
     skipped = 0
     for m in range(n_eta):
         eta = radius * np.exp(2j * np.pi * m / n_eta)
         try:
-            roots = zeta_slice_roots(surface, eta)
+            roots = zeta_slice_roots(c, eta)
         except DegenerateSlice:
             skipped += 1
             continue
         for zeta in roots:
-            residual = abs(evaluate(surface, eta, zeta))
-            if residual > residual_tol * magnitude(surface, eta, zeta):
+            residual = abs(evaluate(c, eta, zeta))
+            if residual > residual_tol * magnitude(c, eta, zeta):
                 raise NoConvergence(
                     f"curve sample residual {residual:.3e} exceeded tolerance at eta={eta}"
                 )
-            points.append(CurvePoint(eta=complex(eta), zeta=complex(zeta)))
+            points.append((complex(eta), complex(zeta)))
     return points, skipped
 
 
-def smoothness_report(surface, samples, flag_tol=1e-6):
+def smoothness_report(c, etas, zetas, flag_tol=1e-6):
+    """The least gradient norm over the points, and one flag per point."""
     min_gradient = np.inf
     flagged = []
-    i = np.arange(surface.k + 1)
-    absc = np.abs(surface.c)
-    for pt in samples:
-        ge, gz = gradient(surface, pt.eta, pt.zeta)
+    i = np.arange(len(c))
+    absc = np.abs(c)
+    for eta, zeta in zip(etas, zetas):
+        ge, gz = gradient(c, eta, zeta)
         gnorm = float(np.hypot(abs(ge), abs(gz)))
-        ae, az = abs(pt.eta) ** i, abs(pt.zeta) ** i
-        de = np.concatenate(([0.0], i[1:] * abs(pt.eta) ** (i[1:] - 1)))
-        dz = np.concatenate(([0.0], i[1:] * abs(pt.zeta) ** (i[1:] - 1)))
+        ae, az = abs(eta) ** i, abs(zeta) ** i
+        de = np.concatenate(([0.0], i[1:] * abs(eta) ** (i[1:] - 1)))
+        dz = np.concatenate(([0.0], i[1:] * abs(zeta) ** (i[1:] - 1)))
         scale = float(de @ absc @ az + ae @ absc @ dz)
         min_gradient = min(min_gradient, gnorm)
-        if gnorm < flag_tol * max(1.0, scale):
-            flagged.append(pt)
-    if not samples:
+        flagged.append(gnorm < flag_tol * max(1.0, scale))
+    if not flagged:
         min_gradient = 0.0
-    return SmoothnessReport(min_gradient=float(min_gradient), flagged=tuple(flagged))
+    return float(min_gradient), flagged
 
 
-def antidiagonal_clearance(surface, n, radii=(0.5, 1.0, 2.0)):
-    k = surface.k
+def antidiagonal_clearance(c, n, radii=(0.5, 1.0, 2.0)):
+    k = len(c) - 1
     best = np.inf
     for radius in radii:
         for m in range(n):
             eta = radius * np.exp(2j * np.pi * m / n)
-            value = evaluate(surface, eta, -1.0 / np.conj(eta))
+            value = evaluate(c, eta, -1.0 / np.conj(eta))
             rescaled = abs(np.conj(eta) ** k * value) / (1.0 + abs(eta) ** 2) ** k
             best = min(best, rescaled)
     return float(best)

@@ -59,7 +59,7 @@ def test_criterion_2_trig_spectral_curve():
         expected[1, 1] = -2.0 * np.cos(np.pi / (2 * p + 2))
         expected[0, 2] = 1.0
         for site in chain.sites:
-            c = dnahm.char_surface(site.A, site.B, site.D).c
+            c = dnahm.char_surface(site.A, site.B, site.D)
             worst = max(worst, dnahm.max_abs(c - expected))
     assert worst < 1e-12
     print(f"criterion 2 PASS: trig surface coefficients match closed form to {worst:.2e} (< 1e-12)")
@@ -72,7 +72,7 @@ def test_criterion_3_isospectrality(ensemble):
     worst = 0.0
     for k, seed, ba, dn in survivors:
         drift = dnahm.invariance_drift(dn)
-        base = dnahm.char_surface(dn.sites[0].A, dn.sites[0].B, dn.sites[0].D).c
+        base = dnahm.char_surface(dn.sites[0].A, dn.sites[0].B, dn.sites[0].D)
         scale = max(1.0, dnahm.max_abs(base))
         assert drift < 1e-9 * scale, f"k={k} seed={seed}: drift {drift:.2e}"
         worst = max(worst, drift / scale)
@@ -172,13 +172,11 @@ def test_criterion_5_dual_transport(ensemble):
     for chain in chains:
         mid = chain.r0 + (len(chain.links) - 1) // 2
         site = oracles.site_at(chain, mid + 1)
-        surface = dnahm.char_surface(site.A, site.B, site.D)
+        c = dnahm.char_surface(site.A, site.B, site.D)
         for idx, radius in enumerate(radii):
             eta = radius * np.exp(2j * np.pi * (idx + 0.37) / len(radii))
-            zeta = dnahm.zeta_slice_roots(surface, eta)[0]
-            residual = dnahm.dual_transport_check(
-                chain, mid, dnahm.CurvePoint(eta=eta, zeta=complex(zeta))
-            )
+            zeta = dnahm.zeta_slice_roots(c, eta)[0]
+            residual = dnahm.dual_transport_check(chain, mid, eta, complex(zeta))
             assert residual < 1e-8, f"radius {radius}: {residual:.2e}"
             worst = max(worst, residual)
             checked += 1
@@ -207,7 +205,7 @@ def test_criterion_7_oracle_equivalence():
     for _ in range(100):
         k = int(rng.integers(1, 4))
         a, b, d = (helpers.random_cmatrix(rng, k) for _ in range(3))
-        ours = dnahm.char_surface(a, b, d).c
+        ours = dnahm.char_surface(a, b, d)
         brute = oracles.char_surface_brute(np.asarray(a), np.asarray(b), np.asarray(d))
         dev = dnahm.max_abs(ours - brute) / (1.0 + np.abs(brute).max())
         assert dev < 1e-12

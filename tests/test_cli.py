@@ -389,19 +389,20 @@ class TestSpectralCommand:
         assert len(lines) == 3
 
     def test_one_surface_object_per_run(self, tmp_path, monkeypatch):
-        # the site grids stay one array; only site 0's curve diagnostics
-        # build a SpectralSurface
+        # the site grids are one stacked char_surface call, and site 0's curve
+        # diagnostics read row 0 of its result without building another grid
         built = []
-        check = dnahm.SpectralSurface.__post_init__
-        monkeypatch.setattr(dnahm.SpectralSurface, "__post_init__",
-                            lambda self: (built.append(self), check(self)))
+        char_surface = dnahm.spectral.char_surface
+        monkeypatch.setattr(dnahm.spectral, "char_surface",
+                            lambda *triple: built.append(char_surface(*triple)) or built[-1])
         chain_path, out = tmp_path / "trig.json", tmp_path / "surface.json"
         main(["example", "--p", "5", "--out", str(chain_path)])
         assert main(["spectral", "--in", str(chain_path), "--out", str(out),
                      "--samples", "8", "--antidiagonal", "8"]) == 0
-        assert len(built) == 1
+        assert len(built) == 1 and built[0].shape == (10, 3, 3)
         doc = json.loads(out.read_text())
-        assert np.array_equal(oracles.matrix_from_pairs(doc["surfaces"][0], "surface"), built[0].c)
+        assert np.array_equal(oracles.matrix_from_pairs(doc["surfaces"][0], "surface"), built[0][0])
+        assert len(doc["samples"]) == 16 and doc["smoothness"]["flagged"] == 0
 
     def test_evolved_chain_drift_small(self, tmp_path):
         chain_path = tmp_path / "chain.json"

@@ -218,8 +218,8 @@ class TestEvolve:
         assert bk is None
         dn = dnahm.from_braam_austin(regen)
         for orig, new in zip(gauged.sites, dn.sites):
-            c0 = dnahm.char_surface(orig.A, orig.B, orig.D).c
-            c1 = dnahm.char_surface(new.A, new.B, new.D).c
+            c0 = dnahm.char_surface(orig.A, orig.B, orig.D)
+            c1 = dnahm.char_surface(new.A, new.B, new.D)
             assert dnahm.max_abs(c0 - c1) < 1e-10
         # the closed form is itself in the self-adjoint gauge, so the match is direct
         for a, b in zip(regen.gammas, ba.gammas):

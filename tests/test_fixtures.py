@@ -42,7 +42,7 @@ class TestTrigSolution:
         expected[1, 1] = -2 * math.cos(phi)
         expected[0, 2] = 1.0
         for site in chain.sites:
-            c = dnahm.char_surface(site.A, site.B, site.D).c
+            c = dnahm.char_surface(site.A, site.B, site.D)
             assert dnahm.max_abs(c - expected) < 1e-13
 
     def test_invalid_mass(self):

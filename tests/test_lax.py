@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dnahm
-from dnahm.errors import ChainTooShort, EtaNearZero, PointNotOnCurve
+from dnahm.errors import ChainTooShort, DimensionMismatch, EtaNearZero, PointNotOnCurve
 
 import helpers
 import oracles
@@ -278,14 +278,13 @@ class TestProbeBlock:
 class TestDualTransport:
     def test_trig_curve_point(self):
         chain, _ = dnahm.trig_solution(2)
-        point = dnahm.CurvePoint(eta=1.0 + 0j, zeta=np.exp(1j * np.pi / 6))
-        assert dnahm.dual_transport_check(chain, 2, point) < 1e-9
+        assert dnahm.dual_transport_check(chain, 2, 1.0 + 0j, np.exp(1j * np.pi / 6)) < 1e-9
 
     def test_scalar_chain_trivial(self):
         chain = dnahm.scalar_solution(-3j, -13.0, -3j, -2.0, 2.0, length=3)
-        s = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
-        point = dnahm.curve_samples(s, 4)[0]
-        assert dnahm.dual_transport_check(chain, 0, point) < 1e-12
+        c = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
+        eta, zeta = dnahm.curve_samples(c, 4)
+        assert dnahm.dual_transport_check(chain, 0, eta[0], zeta[0]) < 1e-12
 
     def test_perturbed_chain_detected(self):
         chain, _ = dnahm.trig_solution(2)
@@ -293,49 +292,63 @@ class TestDualTransport:
         bad = helpers.replace_link(
             chain, 1, Pminus=helpers.perturb_entry(chain.links[1].Pminus, 0, 0, 1e-2)
         )
-        point = dnahm.CurvePoint(eta=1.0 + 0j, zeta=np.exp(1j * np.pi / 6))
         # the point still lies on site 3's curve (site data unchanged)
-        assert dnahm.dual_transport_check(bad, 2, point) > 1e-5
+        assert dnahm.dual_transport_check(bad, 2, 1.0 + 0j, np.exp(1j * np.pi / 6)) > 1e-5
 
     def test_composition_along_links(self):
         # transports a null covector across several links; error grows slowly
         chain, _ = dnahm.trig_solution(3)
-        point = dnahm.CurvePoint(eta=np.exp(0.4j), zeta=np.exp(0.4j) * np.exp(-1j * np.pi / 8))
+        eta, zeta = np.exp(0.4j), np.exp(0.4j) * np.exp(-1j * np.pi / 8)
         site = oracles.site_at(chain, 5)
-        m = (
-            point.eta * point.zeta * site.A
-            + point.eta * site.B
-            + point.zeta * np.eye(2)
-            + site.D
-        )
+        m = eta * zeta * site.A + eta * site.B + zeta * np.eye(2) + site.D
         _, basis = dnahm.nullity(m.T)
         g = basis[:, -1]
         for r in (4, 3, 2):
-            g = dnahm.transport_covector(chain, r, point, g)
+            g = dnahm.transport_covector(chain, r, eta, zeta, g)
             site_l = oracles.site_at(chain, r)
-            m_l = (
-                point.eta * point.zeta * site_l.A
-                + point.eta * site_l.B
-                + point.zeta * np.eye(2)
-                + site_l.D
-            )
+            m_l = eta * zeta * site_l.A + eta * site_l.B + zeta * np.eye(2) + site_l.D
             assert np.linalg.norm(g @ m_l) / np.linalg.norm(g) < 1e-8
 
     def test_eta_near_zero_rejected(self):
         chain, _ = dnahm.trig_solution(2)
         with pytest.raises(EtaNearZero):
-            dnahm.transport_covector(chain, 2, dnahm.CurvePoint(0.0, 0.0), np.ones(2))
+            dnahm.transport_covector(chain, 2, 0.0, 0.0, np.ones(2))
 
     def test_link_index_outside_the_chain(self):
         chain, _ = dnahm.trig_solution(3)  # sites 1..6, links 1..5
-        point = dnahm.CurvePoint(eta=1.0 + 0j, zeta=1.0 + 0j)
         for r in (0, 6, -5):
             with pytest.raises(IndexError, match=rf"link {r} outside \[1, 5\]"):
-                dnahm.transport_covector(chain, r, point, np.ones(2))
+                dnahm.transport_covector(chain, r, 1.0 + 0j, 1.0 + 0j, np.ones(2))
             with pytest.raises(IndexError, match=rf"link {r} outside \[1, 5\]"):
-                dnahm.dual_transport_check(chain, r, point)
+                dnahm.dual_transport_check(chain, r, 1.0 + 0j, 1.0 + 0j)
 
     def test_off_curve_rejected(self):
         chain, _ = dnahm.trig_solution(2)
         with pytest.raises(PointNotOnCurve):
-            dnahm.dual_transport_check(chain, 2, dnahm.CurvePoint(eta=1.0, zeta=5.0))
+            dnahm.dual_transport_check(chain, 2, 1.0, 5.0)
+
+    # The suite turns warnings into errors, so a RuntimeWarning from a
+    # non-finite point fails these too.
+    @pytest.mark.parametrize(
+        "eta, zeta",
+        [(np.nan, 0.5), (np.inf, 0.5), (1.0, np.inf), (1.0, complex(0.0, np.nan))],
+        ids=["eta-nan", "eta-inf", "zeta-inf", "zeta-nan"],
+    )
+    def test_non_finite_point_refused(self, eta, zeta):
+        # eta = inf gave the zero covector and zeta = inf a RuntimeWarning
+        chain, _ = dnahm.trig_solution(3)
+        with pytest.raises(DimensionMismatch, match="point coordinates must be finite"):
+            dnahm.transport_covector(chain, 2, eta, zeta, np.ones(2))
+        with pytest.raises(DimensionMismatch, match="point coordinates must be finite"):
+            dnahm.dual_transport_check(chain, 2, eta, zeta)
+
+    @pytest.mark.parametrize(
+        "g_right",
+        [np.ones(3), np.ones((2, 1)), np.ones(()), np.array([1.0, np.nan]),
+         np.array([np.inf, 1.0])],
+        ids=["length-3", "column", "scalar", "nan", "inf"],
+    )
+    def test_malformed_covector_refused(self, g_right):
+        chain, _ = dnahm.trig_solution(3)
+        with pytest.raises(DimensionMismatch, match="g_right must be a finite length-2 vector"):
+            dnahm.transport_covector(chain, 2, 1.0, 0.5, g_right)

@@ -177,8 +177,7 @@ def _gauge_first_site():
 def _transport_across_singular_link():
     chain, _ = dnahm.trig_solution(1)
     chain = helpers.replace_link(chain, 0, Pminus=RANK_ONE)
-    point = dnahm.CurvePoint(eta=1.0 + 0.5j, zeta=0.3)
-    dnahm.transport_covector(chain, chain.r0, point, np.ones(2, dtype=complex))
+    dnahm.transport_covector(chain, chain.r0, 1.0 + 0.5j, 0.3, np.ones(2, dtype=complex))
 
 
 class TestInvertibilityRule:

@@ -161,8 +161,8 @@ class TestApplyGauge:
         assert dnahm.reality_residual(gauged, dnahm.identity_metric(gauged)) < 1e-13
         # the spectral surface is gauge-invariant
         for s, t in zip(chain.sites, gauged.sites):
-            c0 = dnahm.char_surface(s.A, s.B, s.D).c
-            c1 = dnahm.char_surface(t.A, t.B, t.D).c
+            c0 = dnahm.char_surface(s.A, s.B, s.D)
+            c1 = dnahm.char_surface(t.A, t.B, t.D)
             assert dnahm.max_abs(c0 - c1) < 1e-13
 
     def test_random_gauge_preserves_zero_residuals(self):
@@ -187,6 +187,15 @@ class TestRealityResidual:
     def test_trig_identity_metric_fails(self):
         chain, _ = dnahm.trig_solution(1)
         assert dnahm.reality_residual(chain, dnahm.identity_metric(chain)) > 0.1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_metric_refused(self, value):
+        # NaN read as NotPositiveDefinite(lambda_min = 0), and inf leaked a RuntimeWarning
+        chain, metric = dnahm.trig_solution(3)
+        metric = np.array(metric)
+        metric[1][0, 0] = value
+        with pytest.raises(DimensionMismatch, match="^matrix entries must be finite$"):
+            dnahm.reality_residual(chain, metric)
 
 
 def same_bits(x, y):

@@ -72,23 +72,38 @@ def test_chains_have_no_per_index_accessors():
 
 
 def test_chain_sized_results_are_arrays():
-    # a trajectory is its nodes array; a stack of site triples gives one grid array
+    # a trajectory is its nodes array; a stack of site triples gives one grid
+    # array, and one triple one read-only (k + 1, k + 1) grid
     assert not hasattr(dnahm.NahmTrajectory, "states")
     z = np.zeros((3, 2, 2))
     c = dnahm.char_surface(z, z, z)
     assert type(c) is np.ndarray and c.shape == (3, 3, 3)
+    c = dnahm.char_surface(z[0], z[0], z[0])
+    assert type(c) is np.ndarray and c.shape == (3, 3) and not c.flags.writeable
+
+
+def test_spectral_results_are_arrays():
+    # a surface is its grid, a curve sample is two arrays and the smoothness
+    # scan a (min_gradient, flagged mask) pair: no wrapper type is left
+    for name in ("SpectralSurface", "CurvePoint", "SmoothnessReport"):
+        assert not hasattr(dnahm, name) and not hasattr(dnahm.spectral, name), name
+    c = dnahm.char_surface(np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1.0, 2.0]))
+    eta, zeta = dnahm.curve_samples(c, 4)
+    assert type(eta) is type(zeta) is np.ndarray and eta.shape == zeta.shape == (8,)
+    min_gradient, flagged = dnahm.smoothness_report(c, eta, zeta)
+    assert type(min_gradient) is float and flagged.dtype == bool and flagged.shape == (8,)
 
 
 def test_each_rule_has_one_path():
     # the Nahm flow is continuum._flow, the drift column comes from
-    # site_surfaces, the surface's derivatives and slices are the batched
-    # spectral._gradient and _zeta_slices, and B from the links is
-    # model._b_at_link_ends, whose callers are from_braam_austin and dn_residuals
+    # site_surfaces, and B from the links is model._b_at_link_ends, whose
+    # callers are from_braam_austin and dn_residuals; the surface's
+    # derivatives and slices are the batched spectral._gradient and
+    # _zeta_slices, which test_spectral_results_are_arrays covers
     deleted = {
         dnahm.continuum: ("NahmState", "state_from_triple", "nahm_rhs"),
         dnahm.spectral: ("drift_series",),
         dnahm.model: ("reconstruct_B",),
-        dnahm.SpectralSurface: ("gradient", "zeta_coefficients"),
     }
     for owner, names in deleted.items():
         for name in names:

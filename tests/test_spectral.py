@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dnahm
+from dnahm import spectral
 from dnahm.cli import main
 from dnahm.errors import (
     ChainTooShort,
@@ -32,18 +33,18 @@ def surface_k1(a, b, d):
 
 class TestCharSurface:
     def test_k1_coefficients(self):
-        s = surface_k1(2.0, 3.0, 5.0)
-        assert s.c[1, 1] == pytest.approx(2.0)
-        assert s.c[1, 0] == pytest.approx(3.0)
-        assert s.c[0, 1] == 1.0
-        assert s.c[0, 0] == pytest.approx(5.0)
+        c = surface_k1(2.0, 3.0, 5.0)
+        assert c[1, 1] == pytest.approx(2.0)
+        assert c[1, 0] == pytest.approx(3.0)
+        assert c[0, 1] == 1.0
+        assert c[0, 0] == pytest.approx(5.0)
 
     def test_zero_triple_k2(self):
         z = dnahm.cmatrix(np.zeros((2, 2)))
-        s = dnahm.char_surface(z, z, z)
+        c = dnahm.char_surface(z, z, z)
         expected = np.zeros((3, 3))
         expected[0, 2] = 1.0
-        assert_allclose(s.c, expected, atol=1e-14)
+        assert_allclose(c, expected, atol=1e-14)
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
     def test_surface_refuses_non_finite_coefficients(self, entry):
@@ -52,26 +53,26 @@ class TestCharSurface:
         c = np.array([[0.5, 1.0], [0.0, 0.0]], dtype=complex)
         c[entry] = np.nan
         with pytest.raises(DimensionMismatch, match="must be finite"):
-            dnahm.SpectralSurface(k=1, c=c)
+            dnahm.curve_samples(c, 4)
 
     def test_trig_curve(self):
         chain, _ = dnahm.trig_solution(1)
-        s = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
+        c = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
         expected = np.zeros((3, 3), complex)
         expected[2, 0] = 1.0
         expected[1, 1] = -np.sqrt(2)  # -2 cos(pi/4)
         expected[0, 2] = 1.0
-        assert dnahm.max_abs(s.c - expected) < 1e-12
+        assert dnahm.max_abs(c - expected) < 1e-12
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(21)
         a, b, d = (helpers.random_cmatrix(rng, 3) for _ in range(3))
         g = np.eye(3) + 0.5 * rng.standard_normal((3, 3))
         gi = np.linalg.inv(g)
-        c0 = dnahm.char_surface(a, b, d).c
+        c0 = dnahm.char_surface(a, b, d)
         c1 = dnahm.char_surface(
             dnahm.cmatrix(g @ a @ gi), dnahm.cmatrix(g @ b @ gi), dnahm.cmatrix(g @ d @ gi)
-        ).c
+        )
         assert dnahm.max_abs(c0 - c1) < 1e-11 * (1 + dnahm.max_abs(c0))
 
     def test_matches_cofactor_expansion_oracle(self):
@@ -80,7 +81,7 @@ class TestCharSurface:
         for k in (1, 2, 3, 4):
             for _ in range(10):
                 a, b, d = (helpers.random_cmatrix(rng, k) for _ in range(3))
-                ours = dnahm.char_surface(a, b, d).c
+                ours = dnahm.char_surface(a, b, d)
                 brute = oracles.char_surface_brute(np.asarray(a), np.asarray(b), np.asarray(d))
                 assert dnahm.max_abs(ours - brute) < 1e-12 * (1 + np.abs(brute).max())
         a, b, d = (np.stack([helpers.random_cmatrix(rng, 3) for _ in range(5)]) for _ in range(3))
@@ -131,17 +132,16 @@ class TestRealStructure:
 class TestCurveSamples:
     def test_k1_zeta_identically_zero(self):
         # curve eta zeta + zeta = 0: zeta = 0 away from the degenerate slice eta = -1
-        s = surface_k1(1.0, 0.0, 0.0)
-        points = dnahm.curve_samples(s, 8)
-        assert len(points) == 7  # eta = -1 is skipped
-        for p in points:
-            assert abs(p.zeta) < 1e-10
+        c = surface_k1(1.0, 0.0, 0.0)
+        eta, zeta = dnahm.curve_samples(c, 8)
+        assert eta.shape == zeta.shape == (7,)  # eta = -1 is skipped
+        assert np.all(np.abs(zeta) < 1e-10)
 
     def test_trig_at_eta_one(self):
         chain, _ = dnahm.trig_solution(1)
-        s = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
-        points = dnahm.curve_samples(s, 1)  # single sample at eta = 1
-        zs = sorted((p.zeta for p in points), key=lambda z: z.imag)
+        c = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
+        _, zeta = dnahm.curve_samples(c, 1)  # single sample at eta = 1
+        zs = sorted(zeta, key=lambda z: z.imag)
         r1, r2 = oracles.quadratic_roots(1.0, -np.sqrt(2), 1.0)
         assert zs[0] == pytest.approx(min(r1, r2, key=lambda z: z.imag), abs=1e-10)
         assert zs[1] == pytest.approx(max(r1, r2, key=lambda z: z.imag), abs=1e-10)
@@ -149,74 +149,78 @@ class TestCurveSamples:
     def test_random_surface_residuals(self):
         rng = np.random.default_rng(23)
         a, b, d = (helpers.random_cmatrix(rng, 3) for _ in range(3))
-        s = dnahm.char_surface(a, b, d)
-        for p in dnahm.curve_samples(s, 12):
-            assert abs(s.evaluate(p.eta, p.zeta)) <= 1e-8 * s.magnitude(p.eta, p.zeta)
+        c = dnahm.char_surface(a, b, d)
+        for eta, zeta in zip(*dnahm.curve_samples(c, 12)):
+            assert abs(oracles.evaluate(c, eta, zeta)) <= 1e-8 * oracles.magnitude(c, eta, zeta)
 
     def test_degenerate_slice_raises(self):
-        s = surface_k1(1.0, 0.0, 0.0)  # leading zeta-coefficient is 1 + eta
+        c = surface_k1(1.0, 0.0, 0.0)  # leading zeta-coefficient is 1 + eta
         with pytest.raises(dnahm.errors.DegenerateSlice):
-            dnahm.zeta_slice_roots(s, -1.0)
+            dnahm.zeta_slice_roots(c, -1.0)
 
 
 class TestSmoothness:
     def test_trig_node_flagged(self):
         chain, _ = dnahm.trig_solution(1)
-        s = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
-        node = dnahm.CurvePoint(eta=0.0, zeta=0.0)  # the two lines meet here
-        samples = dnahm.curve_samples(s, 8) + [node]
-        report = dnahm.smoothness_report(s, samples)
-        assert node in report.flagged
+        c = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
+        eta, zeta = dnahm.curve_samples(c, 8)
+        # the two lines meet at the node (0, 0), appended as the last point
+        _, flagged = dnahm.smoothness_report(c, np.append(eta, 0.0), np.append(zeta, 0.0))
+        assert flagged.shape == (len(eta) + 1,) and flagged[-1]
 
     def test_line_not_flagged(self):
-        s = surface_k1(2.0, 3.0, 5.0)
-        report = dnahm.smoothness_report(s, dnahm.curve_samples(s, 16))
-        assert not report.flagged
-        assert report.min_gradient > 1e-3
+        c = surface_k1(2.0, 3.0, 5.0)
+        min_gradient, flagged = dnahm.smoothness_report(c, *dnahm.curve_samples(c, 16))
+        assert not flagged.any()
+        assert min_gradient > 1e-3
 
     def test_random_k2_no_flags_discriminant_oracle(self):
         rng = np.random.default_rng(24)
         a, b, d = (helpers.random_cmatrix(rng, 2) for _ in range(3))
-        s = dnahm.char_surface(a, b, d)
-        points = dnahm.curve_samples(s, 16)
-        report = dnahm.smoothness_report(s, points)
+        c = dnahm.char_surface(a, b, d)
+        _, flagged = dnahm.smoothness_report(c, *dnahm.curve_samples(c, 16))
         # cross-check: distinct slice roots (nonzero discriminant) at each eta
         # force a nonzero zeta-gradient there, so nothing should be flagged
         for m in range(16):
             eta = np.exp(2j * np.pi * m / 16)
-            c0, c1, c2 = oracles.zeta_coefficients(s, eta)
+            c0, c1, c2 = oracles.zeta_coefficients(c, eta)
             assert abs(c1 * c1 - 4 * c2 * c0) > 1e-6
-        assert not report.flagged
+        assert not flagged.any()
+
+    def test_mismatched_point_arrays_refused(self):
+        c = surface_k1(2.0, 3.0, 5.0)
+        with pytest.raises(DimensionMismatch, match=r"\(m,\) arrays"):
+            dnahm.smoothness_report(c, np.zeros(3), np.zeros(2))
+        with pytest.raises(DimensionMismatch, match=r"\(m,\) arrays"):
+            dnahm.smoothness_report(c, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestCokernelNullity:
     def test_k1_any_curve_point(self):
-        s = surface_k1(2.0, 3.0, 5.0)
-        p = dnahm.curve_samples(s, 4)[0]
+        eta, zeta = dnahm.curve_samples(surface_k1(2.0, 3.0, 5.0), 4)
         n = dnahm.cokernel_nullity(
-            dnahm.cmatrix([[2.0]]), dnahm.cmatrix([[3.0]]), dnahm.cmatrix([[5.0]]), p
+            dnahm.cmatrix([[2.0]]), dnahm.cmatrix([[3.0]]), dnahm.cmatrix([[5.0]]),
+            eta[0], zeta[0],
         )
         assert n == 1
 
     def test_random_smooth_points(self):
         rng = np.random.default_rng(25)
         a, b, d = (helpers.random_cmatrix(rng, 2) for _ in range(3))
-        s = dnahm.char_surface(a, b, d)
-        for p in dnahm.curve_samples(s, 6):
-            assert dnahm.cokernel_nullity(a, b, d, p) == 1
+        for eta, zeta in zip(*dnahm.curve_samples(dnahm.char_surface(a, b, d), 6)):
+            assert dnahm.cokernel_nullity(a, b, d, eta, zeta) == 1
 
     def test_trig_node_nullity_one(self):
         # M(0, 0) = D_1 has rank 1; the node shows up in the gradient, not here
         chain, _ = dnahm.trig_solution(1)
         site = chain.sites[0]
-        n = dnahm.cokernel_nullity(site.A, site.B, site.D, dnahm.CurvePoint(0.0, 0.0))
-        assert n == 1
+        assert dnahm.cokernel_nullity(site.A, site.B, site.D, 0.0, 0.0) == 1
 
     def test_off_curve_rejected(self):
         chain, _ = dnahm.trig_solution(1)
         site = chain.sites[0]
         with pytest.raises(PointNotOnCurve):
-            dnahm.cokernel_nullity(site.A, site.B, site.D, dnahm.CurvePoint(1.0, 100.0))
+            dnahm.cokernel_nullity(site.A, site.B, site.D, 1.0, 100.0)
 
 
 class TestAntidiagonal:
@@ -225,28 +229,28 @@ class TestAntidiagonal:
 
     def test_trig_clearance_positive(self):
         chain, _ = dnahm.trig_solution(1)
-        s = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
+        c = dnahm.char_surface(chain.sites[0].A, chain.sites[0].B, chain.sites[0].D)
         # |F(eta, -1/conj(eta))| is angle-independent here; the rescaled value
         # is (2 + sqrt(2)) / 4 at radius 1 and (17 + 4 sqrt(2)) / 25 = 0.906 at
         # radii 0.5 and 2, so the minimum is the radius-1 value
         at_radius = {0.5: (17 + 4 * np.sqrt(2)) / 25, 1.0: (2 + np.sqrt(2)) / 4,
                      2.0: (17 + 4 * np.sqrt(2)) / 25}
         for radius, value in at_radius.items():
-            assert oracles.antidiagonal_clearance(s, 16, radii=(radius,)) == pytest.approx(
+            assert oracles.antidiagonal_clearance(c, 16, radii=(radius,)) == pytest.approx(
                 value, abs=1e-12
             )
-        assert dnahm.antidiagonal_clearance(s, 16) == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-12)
+        assert dnahm.antidiagonal_clearance(c, 16) == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-12)
 
     def test_intersecting_curve_reports_zero(self):
         # (eta + 1)(zeta + 1) = 0 meets the anti-diagonal at eta = 1, zeta = -1
-        s = surface_k1(1.0, 1.0, 1.0)
-        assert dnahm.antidiagonal_clearance(s, 16) < 1e-12
+        c = surface_k1(1.0, 1.0, 1.0)
+        assert dnahm.antidiagonal_clearance(c, 16) < 1e-12
 
     def test_k1_constant_curve_bound(self):
         # curve zeta = -5: the rescaled value |5 conj(eta) - 1| / (1 + r^2) is
         # least at angle 0, (5r - 1) / (1 + r^2): 1.2, 2 and 1.8 at r = 0.5, 1, 2
-        s = surface_k1(0.0, 0.0, 5.0)
-        assert dnahm.antidiagonal_clearance(s, 16) == pytest.approx(1.2, abs=1e-12)
+        c = surface_k1(0.0, 0.0, 5.0)
+        assert dnahm.antidiagonal_clearance(c, 16) == pytest.approx(1.2, abs=1e-12)
 
 
 class TestBAFormCurveCrossCheck:
@@ -260,15 +264,15 @@ class TestBAFormCurveCrossCheck:
         beta, gamma = ba.betas[j], ba.gammas[j - 1]
         dn = dnahm.from_braam_austin(ba)
         site = dn.sites[j]
-        s = dnahm.char_surface(site.A, site.B, site.D)
+        c = dnahm.char_surface(site.A, site.B, site.D)
 
         def ba_form(eta, zeta):
             gg = gamma.conj().T @ gamma + beta.conj().T @ beta
             m = eta * zeta * beta - eta * gg + zeta * np.eye(2) - beta.conj().T
             return np.linalg.det(m)
 
-        for p in dnahm.curve_samples(s, 10):
-            assert abs(ba_form(-p.eta, -p.zeta)) <= 1e-8 * s.magnitude(p.eta, p.zeta)
+        for eta, zeta in zip(*dnahm.curve_samples(c, 10)):
+            assert abs(ba_form(-eta, -zeta)) <= 1e-8 * oracles.magnitude(c, eta, zeta)
 
 
 def random_stack(rng, k, n, scale=1.0):
@@ -285,16 +289,16 @@ class TestStackedSurface:
         assert type(c) is np.ndarray and c.shape == (6, k + 1, k + 1)
         assert not c.flags.writeable and np.all(c[:, 0, k] == 1.0)
         for i in range(6):
-            expected = oracles.char_surface(a[i], b[i], d[i]).c
+            expected = oracles.char_surface(a[i], b[i], d[i])
             assert np.array_equal(helpers.bits(c[i]), helpers.bits(expected))
 
     def test_one_site_stack_equals_the_2d_call(self):
         a, b, d = random_stack(np.random.default_rng(50), 3, 1)
         (stacked,) = dnahm.char_surface(a, b, d)
         single = dnahm.char_surface(a[0], b[0], d[0])
-        assert isinstance(single, dnahm.SpectralSurface)
-        assert np.array_equal(helpers.bits(stacked), helpers.bits(single.c))
-        assert not stacked.flags.writeable and not single.c.flags.writeable
+        assert type(single) is np.ndarray and single.shape == (4, 4)
+        assert np.array_equal(helpers.bits(stacked), helpers.bits(single))
+        assert not stacked.flags.writeable and not single.flags.writeable
 
     def test_mismatched_shapes_rejected(self):
         a, b, d = random_stack(np.random.default_rng(51), 2, 3)
@@ -339,6 +343,8 @@ class TestStackedSurface:
         a[3], b[3], d[3] = 1e8, 0.0, 0.0
         with pytest.raises(NoConvergence, match="stacked site 3"):
             dnahm.char_surface(a, b, d)
+        with pytest.raises(NoConvergence, match="stacked site 0"):
+            dnahm.char_surface(a[3], b[3], d[3])
         with pytest.raises(NoConvergence):
             oracles.char_surface(a[3], b[3], d[3])
 
@@ -396,24 +402,28 @@ def within_ulps(ours, theirs, n):
     return abs(ours - theirs) <= n * EPS * abs(theirs)
 
 
-def assert_diagnostics_match_oracles(s, n_eta=32, n_clear=64):
-    points = dnahm.curve_samples(s, n_eta)
-    expected, _ = oracles.curve_samples(s, n_eta)
-    assert len(points) == len(expected)
-    got = np.array([(p.eta, p.zeta) for p in points]).reshape(-1, 2)
-    want = np.array([(p.eta, p.zeta) for p in expected]).reshape(-1, 2)
+def assert_diagnostics_match_oracles(c, n_eta=32, n_clear=64):
+    k = len(c) - 1
+    eta, zeta = dnahm.curve_samples(c, n_eta)
+    expected, _ = oracles.curve_samples(c, n_eta)
+    assert eta.shape == zeta.shape == (len(expected),)
+    got = np.stack((eta, zeta), axis=-1)
+    want = np.array(expected, dtype=complex).reshape(-1, 2)
     assert np.array_equal(helpers.bits(got), helpers.bits(want))
-    samples = points + [dnahm.CurvePoint(0.0, 0.0)]  # a node of reducible curves
-    report, oracle = dnahm.smoothness_report(s, samples), oracles.smoothness_report(s, samples)
-    assert report.flagged == oracle.flagged
-    assert within_ulps(report.min_gradient, oracle.min_gradient, 4)
-    clearance = dnahm.antidiagonal_clearance(s, n_clear)
-    assert within_ulps(clearance, oracles.antidiagonal_clearance(s, n_clear), 4 * s.k + 8)
-    for eta, zeta in got[:: max(1, len(got) // 5)]:
-        assert np.array_equal(helpers.bits(dnahm.zeta_slice_roots(s, eta)),
-                              helpers.bits(oracles.zeta_slice_roots(s, eta)))
-        assert s.evaluate(eta, zeta) == oracles.evaluate(s, eta, zeta)
-        assert within_ulps(s.magnitude(eta, zeta), oracles.magnitude(s, eta, zeta), 4 * s.k + 4)
+    # the node (0, 0) of reducible curves, appended as the last point
+    eta, zeta = np.append(eta, 0.0), np.append(zeta, 0.0)
+    min_gradient, flagged = dnahm.smoothness_report(c, eta, zeta)
+    oracle_min, oracle_flagged = oracles.smoothness_report(c, eta, zeta)
+    assert flagged.tolist() == oracle_flagged
+    assert within_ulps(min_gradient, oracle_min, 4)
+    clearance = dnahm.antidiagonal_clearance(c, n_clear)
+    assert within_ulps(clearance, oracles.antidiagonal_clearance(c, n_clear), 4 * k + 8)
+    for e, z in got[:: max(1, len(got) // 5)]:
+        assert np.array_equal(helpers.bits(dnahm.zeta_slice_roots(c, e)),
+                              helpers.bits(oracles.zeta_slice_roots(c, e)))
+        point = np.array([e]), np.array([z])
+        assert spectral._evaluate(c, *point)[0] == oracles.evaluate(c, e, z)
+        assert within_ulps(spectral._magnitude(c, *point)[0], oracles.magnitude(c, e, z), 4 * k + 4)
 
 
 class TestBatchedDiagnosticsMatchPerPointOracles:
@@ -424,24 +434,26 @@ class TestBatchedDiagnosticsMatchPerPointOracles:
         assert bk is None
         chain = dnahm.from_braam_austin(ba)
         for c in dnahm.char_surface(chain.A, chain.B, chain.D):
-            assert_diagnostics_match_oracles(dnahm.SpectralSurface(k=k, c=c))
+            assert_diagnostics_match_oracles(c)
 
     @pytest.mark.parametrize("p", [1, 50])
     def test_trig_fixture(self, p):
         chain, _ = dnahm.trig_solution(p)
         for c in dnahm.char_surface(chain.A[:3], chain.B[:3], chain.D[:3]):
-            assert_diagnostics_match_oracles(dnahm.SpectralSurface(k=2, c=c))
+            assert_diagnostics_match_oracles(c)
 
     def test_degenerate_slice_surface(self):
-        s = surface_k1(1.0, 0.0, 0.0)  # the slice at eta = -1 collapses
-        assert_diagnostics_match_oracles(s, n_eta=8, n_clear=16)
-        assert oracles.curve_samples(s, 8)[1] == 1
+        c = surface_k1(1.0, 0.0, 0.0)  # the slice at eta = -1 collapses
+        assert_diagnostics_match_oracles(c, n_eta=8, n_clear=16)
+        assert oracles.curve_samples(c, 8)[1] == 1
 
     def test_no_samples(self):
-        s = surface_k1(2.0, 3.0, 5.0)
-        assert dnahm.curve_samples(s, 0) == []
-        assert dnahm.smoothness_report(s, []) == dnahm.SmoothnessReport(0.0, ())
-        assert dnahm.antidiagonal_clearance(s, 0) == np.inf
+        c = surface_k1(2.0, 3.0, 5.0)
+        eta, zeta = dnahm.curve_samples(c, 0)
+        assert eta.shape == zeta.shape == (0,)
+        min_gradient, flagged = dnahm.smoothness_report(c, eta, zeta)
+        assert min_gradient == 0.0 and flagged.shape == (0,) and flagged.dtype == bool
+        assert dnahm.antidiagonal_clearance(c, 0) == np.inf
 
 
 class TestDegenerateSliceRecord:
@@ -464,17 +476,17 @@ class TestDegenerateSliceRecord:
 class TestElementBudget:
     # counts above the budget, which are refused before anything is allocated
     def test_curve_samples_refused(self):
-        s = surface_k1(2.0, 3.0, 5.0)
+        c = surface_k1(2.0, 3.0, 5.0)
         with pytest.raises(TooManyPoints, match="curve_samples"):
-            dnahm.curve_samples(s, dnahm.spectral.MAX_CURVE_ELEMENTS // 4 + 1)
-        dnahm.curve_samples(s, 16)
+            dnahm.curve_samples(c, dnahm.spectral.MAX_CURVE_ELEMENTS // 4 + 1)
+        dnahm.curve_samples(c, 16)
 
     def test_antidiagonal_refused(self):
-        s = surface_k1(2.0, 3.0, 5.0)
+        c = surface_k1(2.0, 3.0, 5.0)
         n = dnahm.spectral.MAX_CURVE_ELEMENTS // 12 + 1  # three radii, (k + 1)^2 = 4
         with pytest.raises(TooManyPoints, match="antidiagonal_clearance"):
-            dnahm.antidiagonal_clearance(s, n)
-        dnahm.antidiagonal_clearance(s, 16)
+            dnahm.antidiagonal_clearance(c, n)
+        dnahm.antidiagonal_clearance(c, 16)
 
     @pytest.mark.parametrize("option", ["--samples", "--antidiagonal"])
     def test_cli_exit_2_with_one_json_line(self, option, tmp_path, capsys):
@@ -500,6 +512,51 @@ class TestNegativeCount:
             dnahm.antidiagonal_clearance(surface_k1(2.0, 3.0, 5.0), -3)
 
 
+class TestNonIntegerCount:
+    # a count of 2.5 would sample 3 slices, or 7.5 anti-diagonal points
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("call", [dnahm.curve_samples, dnahm.antidiagonal_clearance],
+                             ids=["curve_samples", "antidiagonal_clearance"])
+    def test_refused(self, call, count):
+        with pytest.raises(ValueError, match="point count must be >= 0 and an integer"):
+            call(surface_k1(2.0, 3.0, 5.0), count)
+
+    def test_numpy_integer_accepted(self):
+        c = surface_k1(2.0, 3.0, 5.0)
+        assert dnahm.curve_samples(c, np.int64(4))[0].shape == (4,)
+        assert dnahm.antidiagonal_clearance(c, np.int32(4)) > 0
+
+
+class TestGridCheck:
+    """The curve diagnostics take a grid from outside the library, so each
+    refuses one that is not square, finite and normalized, c[0][k] = 1."""
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (np.ones((2, 3)), r"must be \(k \+ 1\) x \(k \+ 1\)"),
+            (np.ones((1, 2, 2)), r"must be \(k \+ 1\) x \(k \+ 1\)"),
+            (np.ones((0, 0)), r"must be \(k \+ 1\) x \(k \+ 1\)"),
+            (np.array([[0.5, np.inf], [0.0, 0.0]]), "must be finite"),
+            (np.array([[0.5, 2.0], [0.0, 0.0]]), r"normalization c\[0\]\[k\] = 1"),
+        ],
+        ids=["not-square", "stack", "empty", "inf", "unnormalized"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: dnahm.curve_samples(c, 4),
+            lambda c: dnahm.zeta_slice_roots(c, 0.5),
+            lambda c: dnahm.smoothness_report(c, np.zeros(1), np.zeros(1)),
+            lambda c: dnahm.antidiagonal_clearance(c, 4),
+        ],
+        ids=["curve_samples", "zeta_slice_roots", "smoothness_report", "antidiagonal_clearance"],
+    )
+    def test_refused(self, call, grid, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            call(grid)
+
+
 class TestNonFinitePoint:
     """A NaN or inf coordinate is a DimensionMismatch wherever a point enters,
     not a RuntimeWarning (an error under this suite) or a NaN result."""
@@ -507,10 +564,10 @@ class TestNonFinitePoint:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda s: s.evaluate(np.inf, 0.5),
-            lambda s: s.magnitude(0.5, np.nan),
-            lambda s: dnahm.zeta_slice_roots(s, complex(np.inf, 0.0)),
-            lambda s: dnahm.smoothness_report(s, [dnahm.CurvePoint(np.nan, 0.5)]),
+            lambda c: spectral._evaluate(c, np.array([np.inf]), np.array([0.5])),
+            lambda c: spectral._magnitude(c, np.array([0.5]), np.array([np.nan])),
+            lambda c: dnahm.zeta_slice_roots(c, complex(np.inf, 0.0)),
+            lambda c: dnahm.smoothness_report(c, [np.nan], [0.5]),
         ],
         ids=["evaluate", "magnitude", "zeta_slice_roots", "smoothness_report"],
     )
@@ -522,7 +579,7 @@ class TestNonFinitePoint:
         chain, _ = dnahm.trig_solution(1)
         site = chain.sites[0]
         with pytest.raises(DimensionMismatch, match="point coordinates must be finite"):
-            dnahm.cokernel_nullity(site.A, site.B, site.D, dnahm.CurvePoint(np.inf, 0.5))
+            dnahm.cokernel_nullity(site.A, site.B, site.D, np.inf, 0.5)
 
 
 class TestOverflowingPoint:
@@ -532,9 +589,9 @@ class TestOverflowingPoint:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda s: s.evaluate(1e200, 1e200),
-            lambda s: s.magnitude(1e200, 1e200),
-            lambda s: dnahm.smoothness_report(s, [dnahm.CurvePoint(1e200j, 1e200)]).min_gradient,
+            lambda c: spectral._evaluate(c, np.array([1e200]), np.array([1e200]))[0],
+            lambda c: spectral._magnitude(c, np.array([1e200]), np.array([1e200]))[0],
+            lambda c: dnahm.smoothness_report(c, [1e200j], [1e200])[0],
         ],
         ids=["evaluate", "magnitude", "smoothness_report"],
     )
@@ -546,6 +603,10 @@ class TestOverflowingPoint:
     def test_point_off_every_finite_value_is_off_the_curve(self):
         chain, _ = dnahm.trig_solution(2)
         site = chain.sites[0]
-        with pytest.raises(PointNotOnCurve):
-            dnahm.cokernel_nullity(site.A, site.B, site.D, dnahm.CurvePoint(1e200, 1e200))
+        # at (1, 1e200) |F| and its magnitude are both inf: that read as on the curve
+        for eta, zeta in [(1e200, 1e200), (1.0, 1e200)]:
+            with pytest.raises(PointNotOnCurve):
+                dnahm.cokernel_nullity(site.A, site.B, site.D, eta, zeta)
+            with pytest.raises(PointNotOnCurve):
+                dnahm.dual_transport_check(chain, 1, eta, zeta)
 

@@ -10,7 +10,13 @@ import pytest
 
 import dnahm
 from dnahm import linalg
-from dnahm.errors import NoConvergence, NotRealityCompatible, PointNotOnCurve, Singular
+from dnahm.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotRealityCompatible,
+    PointNotOnCurve,
+    Singular,
+)
 
 import helpers
 
@@ -53,20 +59,33 @@ def test_to_braam_austin_reality_deviation(factor, accepted):
 
 
 @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_curve_grid_normalization(factor, accepted):
+    # F = 1/2 + (1 + delta) zeta: |c[0][k] - 1| = delta against 1e-9 (1 + max |c|)
+    # = 1e-9 (2 + delta), so delta = factor x 1e-9 (2 + delta)
+    delta = 2.0 * factor * 1e-9 / (1.0 - factor * 1e-9)
+    c = np.array([[0.5, 1.0 + delta], [0.0, 0.0]])
+    if accepted:
+        dnahm.antidiagonal_clearance(c, 4)
+    else:
+        with pytest.raises(DimensionMismatch, match="normalization"):
+            dnahm.antidiagonal_clearance(c, 4)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
 def test_curve_samples_residual(factor, accepted, monkeypatch):
     # F = 1/2 + zeta has the exact root -1/2 on every slice; the root solver
     # is made to return -1/2 + delta, a residual of delta against the local
     # magnitude 1/2 + |zeta| = 1 - delta, so delta = factor x 1e-8 (1 - delta)
-    surface = dnahm.SpectralSurface(k=1, c=np.array([[0.5, 1.0], [0.0, 0.0]], dtype=complex))
+    c = np.array([[0.5, 1.0], [0.0, 0.0]], dtype=complex)
     delta = factor * 1e-8 / (1.0 + factor * 1e-8)
     roots = linalg.poly_roots
     monkeypatch.setattr(linalg, "poly_roots", lambda c: roots(c) + delta)
     if accepted:
-        points = dnahm.curve_samples(surface, 4)
-        assert [p.zeta for p in points] == [-0.5 + delta] * 4
+        _, zeta = dnahm.curve_samples(c, 4)
+        assert zeta.tolist() == [-0.5 + delta] * 4
     else:
         with pytest.raises(NoConvergence):
-            dnahm.curve_samples(surface, 4)
+            dnahm.curve_samples(c, 4)
 
 
 @pytest.mark.parametrize("factor, flagged", [(0.5, True), (2.0, False)])
@@ -74,12 +93,11 @@ def test_smoothness_report_flag(factor, flagged):
     # F = zeta + eta zeta: at (eta, zeta) = (-1 + g, 0) the gradient is
     # (0, g) and its magnitude bound 1 + |eta| = 2 - g, so a gradient of
     # factor x 1e-6 (2 - g) sits at factor x the flag threshold
-    surface = dnahm.SpectralSurface(k=1, c=np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex))
+    c = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
     g = 2.0 * factor * 1e-6 / (1.0 + factor * 1e-6)
-    point = dnahm.CurvePoint(eta=-1.0 + g, zeta=0.0)
-    report = dnahm.smoothness_report(surface, [point])
-    assert report.min_gradient == pytest.approx(g, rel=1e-9)
-    assert report.flagged == ((point,) if flagged else ())
+    min_gradient, flags = dnahm.smoothness_report(c, [-1.0 + g], [0.0])
+    assert min_gradient == pytest.approx(g, rel=1e-9)
+    assert flags.tolist() == [flagged]
 
 
 @pytest.mark.parametrize("factor, on_curve", [(0.5, True), (2.0, False)])
@@ -87,9 +105,9 @@ def test_cokernel_nullity_on_curve(factor, on_curve):
     # A = B = D = 0 at k = 1 gives F = zeta, whose local magnitude |zeta| is
     # below 1, so |F| at (0, zeta) is measured against 1e-6 itself
     zero = dnahm.cmatrix([[0.0]])
-    point = dnahm.CurvePoint(eta=0.0, zeta=factor * 1e-6)
+    zeta = factor * 1e-6
     if on_curve:
-        assert dnahm.cokernel_nullity(zero, zero, zero, point) == 0
+        assert dnahm.cokernel_nullity(zero, zero, zero, 0.0, zeta) == 0
     else:
         with pytest.raises(PointNotOnCurve):
-            dnahm.cokernel_nullity(zero, zero, zero, point)
+            dnahm.cokernel_nullity(zero, zero, zero, 0.0, zeta)
